@@ -143,11 +143,15 @@ class ModeMap:
         return ModeMap(basis, self.entries, self.tag)
 
 
-def _orthonormalize(vectors: list[np.ndarray], tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span, via pivoted QR; deterministic."""
-    if not vectors:
+def _orthonormalize(parts: list, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of ``parts``, via pivoted QR; deterministic.
+
+    ``parts`` holds dense vectors and column blocks; empty blocks are skipped.
+    """
+    parts = [p for p in parts if p.size]
+    if not parts:
         return np.zeros((0, 0), dtype=complex)
-    M = np.column_stack(vectors)
+    M = np.column_stack(parts)
     q, r, _ = sla.qr(M, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > tol * max(diag[0], 1e-300))) if diag.size else 0
@@ -193,12 +197,21 @@ class BoundaryCondition:
 
     # -- structural helpers ------------------------------------------------
     def _side_mask(self, lower: bool) -> np.ndarray:
-        mask = np.zeros(self.basis.total_dim, dtype=bool)
-        for m in self.basis.modes:
-            if (m.eigenvalue < self.cut) == lower:
-                off = self.basis.offset(m.mode_id)
-                mask[off : off + m.fiber_dim] = True
-        return mask
+        return (self.basis.coord_eigenvalue < self.cut) == lower
+
+    def _side_columns(self, lower: bool) -> np.ndarray:
+        """The unit vectors of one side of the cut with W_plus (+) W_minus projected out.
+
+        Columns whose norm falls below RANK_TOL (unit vectors inside the W span)
+        are dropped.
+        """
+        idx = np.flatnonzero(self._side_mask(lower))
+        C = np.zeros((self.basis.total_dim, idx.size), dtype=complex)
+        C[idx, np.arange(idx.size)] = 1.0
+        W = self.w_all()
+        if W.size:
+            C -= W @ W[idx, :].conj().T
+        return C[:, ~(np.linalg.norm(C, axis=0) < RANK_TOL)]
 
     def _validate(self):
         basis = self.basis
@@ -264,45 +277,22 @@ class BoundaryCondition:
 
     def span_matrix(self) -> np.ndarray:
         """Orthonormal columns spanning B within the truncated trace space."""
-        D = self.basis.total_dim
-        lower = self._side_mask(lower=True)
-        W = self.w_all()
-        G = self.g.dense() if not self.g.is_zero() else None
-        cols = []
-        eye = np.eye(D, dtype=complex)
-        for i in np.nonzero(lower)[0]:
-            v = eye[:, i].copy()
-            if W.size:
-                v = v - W @ (W.conj().T @ v)
-            if float(np.linalg.norm(v)) < RANK_TOL:
-                continue
-            if G is not None:
-                v = v + G @ v
-            cols.append(v)
-        if self.w_plus.size:
-            cols.extend(self.w_plus[:, i] for i in range(self.w_plus.shape[1]))
-        return _orthonormalize(cols)
+        C = self._side_columns(lower=True)
+        # v -> v + g v: g moves lower-side rows into upper-side rows, so C can
+        # be updated in place
+        for (tgt, src), block in self.g.entries.items():
+            ot, os = self.basis.offset(tgt), self.basis.offset(src)
+            C[ot : ot + block.shape[0]] += block @ C[os : os + block.shape[1]]
+        return _orthonormalize([C, self.w_plus])
 
     def perp_span_matrix(self) -> np.ndarray:
         """Orthonormal columns spanning the L^2-orthocomplement W_minus (+) {u - g* u}."""
-        D = self.basis.total_dim
-        upper = self._side_mask(lower=False)
-        W = self.w_all()
-        Gh = self.g.dense().conj().T if not self.g.is_zero() else None
-        cols = []
-        eye = np.eye(D, dtype=complex)
-        for i in np.nonzero(upper)[0]:
-            u = eye[:, i].copy()
-            if W.size:
-                u = u - W @ (W.conj().T @ u)
-            if float(np.linalg.norm(u)) < RANK_TOL:
-                continue
-            if Gh is not None:
-                u = u - Gh @ u
-            cols.append(u)
-        if self.w_minus.size:
-            cols.extend(self.w_minus[:, i] for i in range(self.w_minus.shape[1]))
-        return _orthonormalize(cols)
+        C = self._side_columns(lower=False)
+        # u -> u - g* u: g* moves upper-side rows into lower-side rows
+        for (tgt, src), block in self.g.entries.items():
+            ot, os = self.basis.offset(tgt), self.basis.offset(src)
+            C[os : os + block.shape[1]] -= block.conj().T @ C[ot : ot + block.shape[0]]
+        return _orthonormalize([C, self.w_minus])
 
     def graph_projector_apply(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto graph(g) inside V_- (+) V_+, in closed form.

@@ -33,7 +33,6 @@ from .spectral_core import (
 )
 from .boundary_conditions import (
     BoundaryCondition,
-    ConditionError,
     make_generalized_aps,
     seeded_graph_condition,
 )
@@ -585,9 +584,14 @@ def _run_energy(s: Scenario, rng) -> tuple:
     basis = _build_basis(s.payload["spectrum"], s.truncation)
     rho = float(s.payload["rho"])
     worst = 0.0
+    ok = True
     for _ in range(int(s.payload.get("n_samples", 100))):
-        worst = max(worst, energy_identity_residual(random_cylinder_section(basis, rng, rho)))
-    return {"residual_max": worst}, worst <= 1e-10
+        phi = random_cylinder_section(basis, rng, rho)
+        residual = energy_identity_residual(phi)
+        # the identity's terms grow like lambda^2 ||phi||^2: compare relative to ||phi||^2
+        ok = ok and residual <= 1e-10 * (1.0 + phi.l2_norm_sq())
+        worst = max(worst, residual)
+    return {"residual_max": worst}, ok
 
 
 def _run_ode_bounds(s: Scenario, rng) -> tuple:
@@ -653,10 +657,10 @@ def run(s: Scenario) -> Report:
     rng = np.random.default_rng(s.seed)
     try:
         result = _RUNNERS[s.kind](s, rng)
-    except (ScenarioError, ConditionError, ic.CertificateError, ValueError) as e:
+    except Exception as e:  # one failing scenario must not abort the batch
         return Report(
             s,
-            {"error": f"{type(e).__name__}: {e}"},
+            {"error": f"{type(e).__name__}: {e}", "error_type": type(e).__name__},
             False,
             time.perf_counter() - start,
         )

@@ -94,6 +94,13 @@ class EigenmodeBasis:
     ``pairings`` optionally records a mode involution (used by transmission
     doublings and chiral families).  ``extend_fn`` regenerates the basis at a
     larger truncation; it is what makes 2N truncation certificates possible.
+
+    Dense vectors over the basis list the fibers of ``modes`` one after the
+    other.  Two read-only arrays of length ``total_dim``, built once per basis,
+    describe those coordinates: ``coord_mode[i]`` is the position in ``modes``
+    of the mode that coordinate i belongs to, and ``coord_eigenvalue[i]`` is
+    that mode's eigenvalue.  Dense-vector code uses them instead of walking
+    the modes.
     """
 
     def __init__(
@@ -125,6 +132,11 @@ class EigenmodeBasis:
             pos += m.fiber_dim
         self._offsets = offsets
         self.total_dim = pos
+        fibers = [m.fiber_dim for m in self.modes]
+        self.coord_mode = np.repeat(np.arange(len(self.modes)), fibers)
+        self.coord_eigenvalue = np.repeat([float(m.eigenvalue) for m in self.modes], fibers)
+        self.coord_mode.flags.writeable = False
+        self.coord_eigenvalue.flags.writeable = False
         self.components = tuple(sorted({m.component_id for m in self.modes}))
 
     def mode(self, mode_id: int) -> Mode:
@@ -150,6 +162,8 @@ class EigenmodeBasis:
 
         Eigenvalues may differ; coefficient-level operations only need the lattice.
         """
+        if other is self:
+            return True
         if len(self.modes) != len(other.modes):
             return False
         return all(
@@ -159,7 +173,7 @@ class EigenmodeBasis:
 
     def negated(self) -> "EigenmodeBasis":
         """The same mode lattice with all eigenvalues negated (adapted operator -A)."""
-        modes = [dataclasses.replace(m, eigenvalue=-m.eigenvalue) for m in self.modes]
+        modes = [Mode(m.mode_id, m.component_id, -m.eigenvalue, m.fiber_dim) for m in self.modes]
         parent = self
 
         def extend(factor: int) -> "EigenmodeBasis":
@@ -170,7 +184,9 @@ class EigenmodeBasis:
 
     def with_eigenvalues(self, eig: dict) -> "EigenmodeBasis":
         """Replace eigenvalues mode-by-mode (no extension support)."""
-        modes = [dataclasses.replace(m, eigenvalue=float(eig[m.mode_id])) for m in self.modes]
+        modes = [
+            Mode(m.mode_id, m.component_id, float(eig[m.mode_id]), m.fiber_dim) for m in self.modes
+        ]
         return EigenmodeBasis(modes, self.band_limit, pairings=self.pairings)
 
     def extended(self, factor: int = 2) -> "EigenmodeBasis":
@@ -314,12 +330,13 @@ class BoundarySection:
 
     @staticmethod
     def from_dense(basis: EigenmodeBasis, vec: np.ndarray) -> "BoundarySection":
+        vec = np.asarray(vec, dtype=complex)[: basis.total_dim]
         coeffs = {}
-        for m in basis.modes:
+        # np.unique sorts the mode positions, so the coefficients come in basis order
+        for pos in np.unique(basis.coord_mode[np.flatnonzero(vec)]).tolist():
+            m = basis.modes[pos]
             off = basis.offset(m.mode_id)
-            block = np.asarray(vec[off : off + m.fiber_dim], dtype=complex)
-            if np.any(block != 0):
-                coeffs[m.mode_id] = block
+            coeffs[m.mode_id] = vec[off : off + m.fiber_dim]
         return BoundarySection(basis, coeffs)
 
     def on_basis(self, basis: EigenmodeBasis) -> "BoundarySection":
@@ -327,6 +344,14 @@ class BoundarySection:
         if not self.basis.same_modes(basis):
             raise BasisMismatchError("cannot move section to a different mode lattice")
         return BoundarySection(basis, self.coeffs)
+
+
+def _stacks_by_shape(arrays: list) -> list:
+    """Group equal-shape arrays: (positions in ``arrays``, the stacked arrays) per shape."""
+    groups: dict = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return [(np.array(pos), np.array([arrays[i] for i in pos])) for pos in groups.values()]
 
 
 class SigmaZero:
@@ -357,25 +382,44 @@ class SigmaZero:
             raise ValueError("sigma_0 targets must form a mode bijection")
         self.sources = {t: s for s, t in self.targets.items()}
         self.blocks = {}
-        scale = None
+        # Blocks are read in basis order up to the first missing or misshapen
+        # one; the checks on their values then run batched over blocks of one
+        # shape.  Either way the first failing mode in basis order is reported.
+        pending = None
         for m in basis.modes:
             if m.mode_id not in blocks:
-                raise ValueError(f"missing sigma_0 block for mode {m.mode_id}")
+                pending = f"missing sigma_0 block for mode {m.mode_id}"
+                break
             S = np.asarray(blocks[m.mode_id], dtype=complex)
             if S.ndim == 0:
                 S = S.reshape(1, 1)
             kt = basis.fiber_dim(self.targets[m.mode_id])
             if S.shape != (kt, m.fiber_dim):
-                raise ValueError(f"sigma_0 block shape mismatch at mode {m.mode_id}")
-            gram = S.conj().T @ S
-            c2 = float(np.real(np.trace(gram)) / m.fiber_dim)
-            if c2 <= 0 or np.max(np.abs(gram - c2 * np.eye(m.fiber_dim))) > 1e-10 * max(c2, 1.0):
-                raise ValueError(f"sigma_0 block at mode {m.mode_id} is not conformal")
-            if scale is None:
-                scale = c2
-            elif abs(c2 - scale) > 1e-10 * max(scale, 1.0):
-                raise ValueError("sigma_0 blocks must share one conformal scale")
+                pending = f"sigma_0 block shape mismatch at mode {m.mode_id}"
+                break
             self.blocks[m.mode_id] = S
+        read = list(self.blocks.values())
+        c2 = np.empty(len(read))
+        not_conformal = np.zeros(len(read), dtype=bool)
+        for pos, stack in _stacks_by_shape(read):
+            k = stack.shape[2]
+            gram = stack.conj().transpose(0, 2, 1) @ stack
+            c = np.real(np.trace(gram, axis1=1, axis2=2)) / k
+            dev = np.max(np.abs(gram - c[:, None, None] * np.eye(k)), axis=(1, 2))
+            c2[pos] = c
+            not_conformal[pos] = (c <= 0) | (dev > 1e-10 * np.maximum(c, 1.0))
+        if read:
+            scale = float(c2[0])
+            off_scale = np.abs(c2 - scale) > 1e-10 * max(scale, 1.0)
+            bad = np.flatnonzero(not_conformal | off_scale)
+            if bad.size:
+                i = int(bad[0])
+                if not_conformal[i]:
+                    mid = basis.modes[i].mode_id
+                    raise ValueError(f"sigma_0 block at mode {mid} is not conformal")
+                raise ValueError("sigma_0 blocks must share one conformal scale")
+        if pending:
+            raise ValueError(pending)
         self.scale = math.sqrt(scale)
         self.skew_unitary = bool(skew_unitary)
         if skew_unitary:
@@ -384,14 +428,28 @@ class SigmaZero:
     def _check_skew_unitary(self):
         if abs(self.scale - 1.0) > IDENTITY_TOL:
             raise ValueError("skew-unitary sigma_0 must be unitary")
-        for j, S in self.blocks.items():
-            t = self.targets[j]
-            if self.targets[t] != j:
+        ids = list(self.blocks)
+        partners = [self.targets[j] for j in ids]
+        involutive = np.array([self.targets[t] == j for j, t in zip(ids, partners)])
+        # sigma_0^* = -sigma_0 as operators: block of sigma_0^* from t to j is S^*,
+        # block of -sigma_0 from t to j is -blocks[t].
+        not_skew = np.zeros(len(ids), dtype=bool)
+        for pos, stack in _stacks_by_shape(list(self.blocks.values())):
+            keep = involutive[pos]
+            pos = pos[keep]
+            if not pos.size:
+                continue
+            partner_blocks = np.array([self.blocks[partners[i]] for i in pos])
+            resid = np.max(
+                np.abs(stack[keep].conj().transpose(0, 2, 1) + partner_blocks), axis=(1, 2)
+            )
+            not_skew[pos] = resid > IDENTITY_TOL
+        bad = np.flatnonzero(~involutive | not_skew)
+        if bad.size:
+            i = int(bad[0])
+            if not involutive[i]:
                 raise ValueError("skew-unitary sigma_0 requires an involutive mode pairing")
-            # sigma_0^* = -sigma_0 as operators: block of sigma_0^* from t to j is S^*,
-            # block of -sigma_0 from t to j is -blocks[t].
-            if np.max(np.abs(S.conj().T + self.blocks[t])) > IDENTITY_TOL:
-                raise ValueError(f"sigma_0^* != -sigma_0 at mode {j}")
+            raise ValueError(f"sigma_0^* != -sigma_0 at mode {ids[i]}")
 
     @staticmethod
     def scalar(basis: EigenmodeBasis, value: complex) -> "SigmaZero":

@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
+from apslab import scenario_cli
 from apslab.scenario_cli import (
     CSV_HEADER,
     KINDS,
@@ -27,6 +29,8 @@ REFERENCE_PROBLEM = {
     "left": {"type": "aps", "cut": 0.0},
     "right": {"type": "aps", "keep_from": 0.0},
 }
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples.json")
 
 FINE_SPECTRUM = {"n": 16, "shift": 0.25, "spacing": 0.5, "band_limit": 4.0}
 
@@ -143,6 +147,18 @@ class TestRunners:
         rep = run(scenario("norm_probe", payload))
         assert not rep.passed
         assert "error" in rep.outputs
+
+    def test_any_exception_becomes_failed_report(self):
+        # exp(200 t) at rho=10 overflows a float while the right-hand side is built
+        payload = {
+            **REFERENCE_PROBLEM,
+            "rho": 10.0,
+            "rhs": [{"mode_id": 1, "terms": [[1, 0, 0, 200, 0]]}],
+        }
+        rep = run(scenario("solve", payload))
+        assert not rep.passed
+        assert rep.outputs["error_type"] == "OverflowError"
+        assert rep.outputs["error"].startswith("OverflowError: ")
 
     def test_every_kind_has_a_runner(self):
         from apslab.scenario_cli import _RUNNERS
@@ -273,9 +289,69 @@ class TestCli:
         without = json.loads(capsys.readouterr().out)[0]["outputs"]["residual_max"]
         assert with_override != without
 
+    def test_overflowing_scenario_does_not_abort_the_batch(self, tmp_path, capsys):
+        overflow = {
+            "id": "overflow",
+            "kind": "solve",
+            "payload": {
+                **REFERENCE_PROBLEM,
+                "rho": 10.0,
+                "rhs": [{"mode_id": 1, "terms": [[1, 0, 0, 200, 0]]}],
+            },
+        }
+        after = {
+            "id": "after",
+            "kind": "index",
+            "payload": {**REFERENCE_PROBLEM, "expected_index": 0},
+        }
+        path = self.write(tmp_path, {"scenarios": [overflow, after]})
+        assert main(["--scenario", path]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["scenario_id"] for r in doc] == ["overflow", "after"]
+        assert doc[0]["pass"] is False
+        assert doc[0]["outputs"]["error_type"] == "OverflowError"
+        assert doc[1]["pass"] is True
+
     def test_default_truncation_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("APSLAB_DEFAULT_N", "4")
         path = self.write(tmp_path, {"kind": "index", "payload": REFERENCE_PROBLEM})
         assert main(["--scenario", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["outputs"]["certificate"]["N_used"] == 9  # 2*4 + 1 modes
+
+
+class TestEnergyTolerance:
+    """The energy identity is checked per sample against 1e-10 * (1 + ||phi||^2)."""
+
+    def example(self, seed):
+        with open(EXAMPLES) as fh:
+            doc = json.load(fh)
+        (item,) = [s for s in doc["scenarios"] if s["id"] == "energy"]
+        sc = parse_scenario(item)
+        sc.truncation = 32
+        sc.seed = seed
+        return sc
+
+    # these seeds give absolute residuals above 1e-10 (relative ones near 2e-13)
+    @pytest.mark.parametrize("seed", [1617389665, 1033602506])
+    def test_example_passes_at_truncation_32(self, seed):
+        rep = run(self.example(seed))
+        assert rep.passed, rep.outputs
+
+    def test_residual_above_the_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            scenario_cli,
+            "energy_identity_residual",
+            lambda phi: 2e-10 * (1.0 + phi.l2_norm_sq()),
+        )
+        rep = run(self.example(1))
+        assert not rep.passed
+
+    def test_residual_below_the_bound_passes(self, monkeypatch):
+        monkeypatch.setattr(
+            scenario_cli,
+            "energy_identity_residual",
+            lambda phi: 0.5e-10 * (1.0 + phi.l2_norm_sq()),
+        )
+        rep = run(self.example(1))
+        assert rep.passed
