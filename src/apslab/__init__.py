@@ -33,10 +33,8 @@ from .boundary_conditions import (
     make_chiral,
     make_generalized_aps,
     make_transmission,
-    membership,
     pseudo_local_check,
     quotient_dim,
-    regularity_order,
     seeded_graph_condition,
 )
 from .cylinder_solver import (
@@ -52,7 +50,6 @@ from .cylinder_solver import (
     model_adjoint_apply,
     model_apply,
     ode_bound_check,
-    r_lambda,
     riso_residual,
     s0_apply,
     solve_bvp,

@@ -583,11 +583,6 @@ def deform(B: BoundaryCondition, s: float) -> BoundaryCondition:
     return out
 
 
-def membership(phi: BoundarySection, B: BoundaryCondition, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff phi lies in B up to relative tolerance (via the explicit projector)."""
-    return B.membership(phi, tol)
-
-
 def quotient_dim(B1: BoundaryCondition, B2: BoundaryCondition) -> int:
     """dim(B2 / B1) for nested conditions B1 subset of B2 over the same basis."""
     if not B1.basis.same_modes(B2.basis):
@@ -601,20 +596,6 @@ def quotient_dim(B1: BoundaryCondition, B2: BoundaryCondition) -> int:
     if diff < 0:  # pragma: no cover - excluded by the membership check
         raise ConditionError("nested conditions with negative quotient dimension")
     return diff
-
-
-def regularity_order(B: BoundaryCondition):
-    """Certified Sobolev regularity order of the condition.
-
-    Every constructible condition here has band-limited W data and a g with a
-    finite eigenvalue growth constant, which preserves every H^s weight; the
-    certified order is then infinite.
-    """
-    if B.g.is_zero():
-        return math.inf
-    if math.isfinite(B.g.growth_constant()):
-        return math.inf
-    return 0  # pragma: no cover - finite entries always give a finite constant
 
 
 def pseudo_local_check(family, a: float, sv_threshold: float = 1e-9):

@@ -189,11 +189,6 @@ def model_adjoint_apply(sec: CylinderSection, sigma0: SigmaZero) -> CylinderSect
     return model_apply(sec.on_basis(as0.basis), as0)
 
 
-def r_lambda(lam: float, rhs: Profile) -> Profile:
-    """The per-mode solve f' + lam f = rhs with f(0) = 0 for lam >= 0, f(rho) = 0 for lam < 0."""
-    return first_order_solve(lam, rhs)
-
-
 def s0_apply(psi: CylinderSection, sigma0: SigmaZero) -> CylinderSection:
     """The reference right inverse: S_0 Psi solves D_0 Phi = Psi with the split trace conditions."""
     g = _sigma_move(
@@ -500,7 +495,7 @@ def energy_identity_residual(phi: CylinderSection) -> float:
 
 
 def ode_bound_check(lam: float, rhs: Profile) -> dict:
-    """The a-priori L^2 and H^1 bounds for f = r_lambda(lam, rhs), with slack."""
+    """The a-priori L^2 and H^1 bounds for f = first_order_solve(lam, rhs), with slack."""
     f = first_order_solve(lam, rhs)
     g_sq = rhs.l2_norm_sq()
     f_sq = f.l2_norm_sq()

@@ -16,13 +16,13 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
 from typing import Optional
 
 import numpy as np
-import jsonschema
 
 from .spectral_core import (
     EigenmodeBasis,
@@ -49,23 +49,6 @@ from .cylinder_solver import (
 )
 from . import index_calculus as ic
 
-KINDS = (
-    "solve",
-    "index",
-    "aps_shift",
-    "graph_identity",
-    "deform_sweep",
-    "fredholm_pair",
-    "pair_identity",
-    "split",
-    "cobordism",
-    "greens",
-    "energy",
-    "ode_bounds",
-    "extension_bound",
-    "norm_probe",
-)
-
 CSV_HEADER = (
     "scenario_id",
     "kind",
@@ -82,194 +65,58 @@ class ScenarioError(ValueError):
     """Raised for invalid scenario input, with a field-path diagnostic."""
 
 
+# -- payload rules ----------------------------------------------------------
+#
+# A rule is a dict of JSON Schema keywords, limited to the ones used here:
+# "type", "minimum" (inclusive), "exclusiveMinimum" (strict), "enum",
+# "required", "properties", "items", "minItems" and "maxItems".  _check
+# applies them with JSON Schema's meaning; fields no rule names are ignored.
+
 _NUMBER = {"type": "number"}
-_SPECTRUM = {
-    "type": "object",
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "shift": _NUMBER,
-        "spacing": {"type": "number", "exclusiveMinimum": 0},
-        "band_limit": {"type": "number", "minimum": 0},
-        "fiber_dim": {"type": "integer", "minimum": 1},
-        "modes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "mode_id": {"type": "integer"},
-                    "eigenvalue": _NUMBER,
-                    "fiber_dim": {"type": "integer", "minimum": 1},
-                    "component_id": {"type": "string"},
-                },
-                "required": ["mode_id", "eigenvalue"],
-            },
-        },
-    },
-}
-_CONDITION = {
-    "type": "object",
-    "properties": {
-        "type": {"enum": ["aps", "graph"]},
-        "cut": _NUMBER,
-        "keep_from": _NUMBER,
-        "dim_w_plus": {"type": "integer", "minimum": 0},
-        "dim_w_minus": {"type": "integer", "minimum": 0},
-        "g_norm": {"type": "number", "minimum": 0},
-        "n_g_pairs": {"type": "integer", "minimum": 1},
-    },
-    "required": ["type"],
-}
-_RHS = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "mode_id": {"type": "integer"},
-            "fiber_index": {"type": "integer", "minimum": 0},
-            "terms": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "minItems": 5,
-                    "maxItems": 5,
-                    "items": _NUMBER,
-                },
-            },
-        },
-        "required": ["mode_id", "terms"],
-    },
-}
+_INTEGER = {"type": "integer"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_NON_NEGATIVE_INTEGER = {"type": "integer", "minimum": 0}
 
-_BASE_PROBLEM = {
-    "spectrum": _SPECTRUM,
-    "rho": {"type": "number", "exclusiveMinimum": 0},
-    "left": _CONDITION,
-    "right": _CONDITION,
-}
 
-_PAYLOAD_SCHEMAS = {
-    "solve": {
-        "type": "object",
-        "properties": {**_BASE_PROBLEM, "rhs": _RHS},
-        "required": ["spectrum", "rho", "left", "right"],
-    },
-    "index": {
-        "type": "object",
-        "properties": {**_BASE_PROBLEM, "expected_index": {"type": "integer"}},
-        "required": ["spectrum", "rho", "left", "right"],
-    },
-    "aps_shift": {
-        "type": "object",
-        "properties": {**_BASE_PROBLEM, "a": _NUMBER, "b": _NUMBER},
-        "required": ["spectrum", "rho", "right", "a", "b"],
-    },
-    "graph_identity": {
-        "type": "object",
-        "properties": _BASE_PROBLEM,
-        "required": ["spectrum", "rho", "left", "right"],
-    },
-    "deform_sweep": {
-        "type": "object",
-        "properties": {**_BASE_PROBLEM, "steps": {"type": "integer", "minimum": 2}},
-        "required": ["spectrum", "rho", "left", "right"],
-    },
-    "fredholm_pair": {
-        "type": "object",
-        "properties": {
-            "spectrum": _SPECTRUM,
-            "first": _CONDITION,
-            "second": _CONDITION,
-        },
-        "required": ["spectrum", "first", "second"],
-    },
-    "pair_identity": {
-        "type": "object",
-        "properties": {
-            **_BASE_PROBLEM,
-            "first": _CONDITION,
-            "second": _CONDITION,
-            "expect_refusal": {"type": "boolean"},
-        },
-        "required": ["spectrum", "rho", "right", "first", "second"],
-    },
-    "split": {
-        "type": "object",
-        "properties": {**_BASE_PROBLEM, "cut_condition": _CONDITION},
-        "required": ["spectrum", "rho", "left", "right", "cut_condition"],
-    },
-    "cobordism": {
-        "type": "object",
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "slope": _NUMBER,
-            "offset": {"type": "array", "minItems": 2, "maxItems": 2, "items": _NUMBER},
-            "zeros": {"type": "array", "items": {"type": "integer"}},
-            "band_limit": {"type": "number", "minimum": 0},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["n", "slope", "band_limit"],
-    },
-    "greens": {
-        "type": "object",
-        "properties": {
-            "spectrum": _SPECTRUM,
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-            "n_samples": {"type": "integer", "minimum": 1},
-        },
-        "required": ["spectrum", "rho"],
-    },
-    "energy": {
-        "type": "object",
-        "properties": {
-            "spectrum": _SPECTRUM,
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-            "n_samples": {"type": "integer", "minimum": 1},
-        },
-        "required": ["spectrum", "rho"],
-    },
-    "ode_bounds": {
-        "type": "object",
-        "properties": {
-            "lambdas": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-            "n_rhs": {"type": "integer", "minimum": 1},
-        },
-        "required": ["lambdas", "rho"],
-    },
-    "extension_bound": {
-        "type": "object",
-        "properties": {
-            "spectrum": _SPECTRUM,
-            "cut": _NUMBER,
-            "r": {"type": "number", "exclusiveMinimum": 0},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-            "n_samples": {"type": "integer", "minimum": 1},
-        },
-        "required": ["spectrum", "cut", "r", "rho"],
-    },
-    "norm_probe": {
-        "type": "object",
-        "properties": {
-            "spectrum": _SPECTRUM,
-            "cut1": _NUMBER,
-            "cut2": _NUMBER,
-            "n_samples": {"type": "integer", "minimum": 1},
-        },
-        "required": ["spectrum", "cut1", "cut2"],
-    },
-}
+def _object(required: tuple, **properties) -> dict:
+    return {"type": "object", "properties": properties, "required": required}
 
-_SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "id": {"type": "string"},
-        "kind": {"enum": list(KINDS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "truncation": {"type": "integer", "minimum": 1},
-        "payload": {"type": "object"},
-    },
-    "required": ["kind", "payload"],
-}
+
+def _array(items: dict, **length) -> dict:
+    return {"type": "array", "items": items, **length}
+
+
+_MODE = _object(
+    ("mode_id", "eigenvalue"),
+    mode_id=_INTEGER, eigenvalue=_NUMBER, fiber_dim=_COUNT, component_id={"type": "string"},
+)
+_SPECTRUM = _object(
+    (),
+    n=_COUNT, shift=_NUMBER, spacing=_POSITIVE, band_limit=_NON_NEGATIVE, fiber_dim=_COUNT,
+    modes=_array(_MODE),
+)
+_CONDITION = _object(
+    ("type",),
+    type={"enum": ("aps", "graph")}, cut=_NUMBER, keep_from=_NUMBER, g_norm=_NON_NEGATIVE,
+    dim_w_plus=_NON_NEGATIVE_INTEGER, dim_w_minus=_NON_NEGATIVE_INTEGER, n_g_pairs=_COUNT,
+)
+_TERM = _array(_NUMBER, minItems=5, maxItems=5)  # [c_re, c_im, power, mu_re, mu_im]
+_RHS = _array(
+    _object(
+        ("mode_id", "terms"),
+        mode_id=_INTEGER, fiber_index=_NON_NEGATIVE_INTEGER, terms=_array(_TERM),
+    )
+)
+_ENDS = ("spectrum", "rho", "left", "right")
+_SAMPLED = _object(("spectrum", "rho"), spectrum=_SPECTRUM, rho=_POSITIVE, n_samples=_COUNT)
+
+
+def _problem(required: tuple, **properties) -> dict:
+    """A rule over the shared cylinder problem (spectrum, rho, left, right) and more fields."""
+    shared = dict(spectrum=_SPECTRUM, rho=_POSITIVE, left=_CONDITION, right=_CONDITION)
+    return _object(required, **shared, **properties)
 
 
 @dataclasses.dataclass
@@ -290,10 +137,44 @@ class Report:
     rows: list = dataclasses.field(default_factory=list)
 
 
-def _path_of(error: jsonschema.ValidationError) -> str:
-    return "$" + "".join(
-        f"[{p}]" if isinstance(p, int) else f".{p}" for p in error.absolute_path
-    )
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    # JSON has one number type: an integral float such as 3.0 is an integer
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _check(value, rule: dict, path: str):
+    """Raise ScenarioError naming the path of the first place ``value`` breaks ``rule``."""
+    # NaN passes both bounds, as in JSON Schema; _check_finite rejects it afterwards
+    reason = None
+    if "type" in rule and not _TYPES[rule["type"]](value):
+        reason = f"{value!r} is not of type {rule['type']!r}"
+    elif "enum" in rule and value not in rule["enum"]:
+        reason = f"{value!r} is not one of {list(rule['enum'])}"
+    elif "minimum" in rule and value < rule["minimum"]:
+        reason = f"{value!r} is less than the minimum of {rule['minimum']}"
+    elif "exclusiveMinimum" in rule and value <= rule["exclusiveMinimum"]:
+        reason = f"{value!r} is less than or equal to the minimum of {rule['exclusiveMinimum']}"
+    elif "minItems" in rule and len(value) < rule["minItems"]:
+        reason = f"{value!r} is too short"
+    elif "maxItems" in rule and len(value) > rule["maxItems"]:
+        reason = f"{value!r} is too long"
+    if reason:
+        raise ScenarioError(f"schema violation at {path}: {reason}")
+    for name in rule.get("required", ()):
+        if name not in value:
+            raise ScenarioError(f"schema violation at {path}.{name}: required property is missing")
+    for name, field in rule.get("properties", {}).items():
+        if name in value:
+            _check(value[name], field, f"{path}.{name}")
+    for i, item in enumerate(value if "items" in rule else ()):
+        _check(item, rule["items"], f"{path}[{i}]")
 
 
 def _check_finite(obj, path: str):
@@ -314,17 +195,9 @@ def parse_scenario(data, index_hint: int = 0) -> Scenario:
             data = json.loads(data)
         except json.JSONDecodeError as e:
             raise ScenarioError(f"invalid JSON: {e}") from e
-    try:
-        jsonschema.validate(data, _SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ScenarioError(f"schema violation at {_path_of(e)}: {e.message}") from e
+    _check(data, _SCENARIO, "$")
     kind = data["kind"]
-    try:
-        jsonschema.validate(data["payload"], _PAYLOAD_SCHEMAS[kind])
-    except jsonschema.ValidationError as e:
-        raise ScenarioError(
-            f"schema violation at $.payload{_path_of(e)[1:]}: {e.message}"
-        ) from e
+    _check(data["payload"], _KINDS[kind][1], "$.payload")
     _check_finite(data["payload"], "$.payload")
     spectrum = data["payload"].get("spectrum")
     if spectrum and "modes" in spectrum:
@@ -633,22 +506,50 @@ def _run_norm_probe(s: Scenario, rng) -> tuple:
     return rep, ok
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "index": _run_index,
-    "aps_shift": _run_aps_shift,
-    "graph_identity": _run_graph_identity,
-    "deform_sweep": _run_deform_sweep,
-    "fredholm_pair": _run_fredholm_pair,
-    "pair_identity": _run_pair_identity,
-    "split": _run_split,
-    "cobordism": _run_cobordism,
-    "greens": _run_greens,
-    "energy": _run_energy,
-    "ode_bounds": _run_ode_bounds,
-    "extension_bound": _run_extension_bound,
-    "norm_probe": _run_norm_probe,
+# -- the kinds: runner and payload rule -------------------------------------
+
+_KINDS = {
+    "solve": (_run_solve, _problem(_ENDS, rhs=_RHS)),
+    "index": (_run_index, _problem(_ENDS, expected_index=_INTEGER)),
+    "aps_shift": (_run_aps_shift, _problem(
+        ("spectrum", "rho", "right", "a", "b"), a=_NUMBER, b=_NUMBER,
+    )),
+    "graph_identity": (_run_graph_identity, _problem(_ENDS)),
+    "deform_sweep": (_run_deform_sweep, _problem(_ENDS, steps={"type": "integer", "minimum": 2})),
+    "fredholm_pair": (_run_fredholm_pair, _object(
+        ("spectrum", "first", "second"), spectrum=_SPECTRUM, first=_CONDITION, second=_CONDITION,
+    )),
+    "pair_identity": (_run_pair_identity, _problem(
+        ("spectrum", "rho", "right", "first", "second"),
+        first=_CONDITION, second=_CONDITION, expect_refusal={"type": "boolean"},
+    )),
+    "split": (_run_split, _problem((*_ENDS, "cut_condition"), cut_condition=_CONDITION)),
+    "cobordism": (_run_cobordism, _object(
+        ("n", "slope", "band_limit"),
+        n=_COUNT, slope=_NUMBER, offset=_array(_NUMBER, minItems=2, maxItems=2),
+        zeros=_array(_INTEGER), band_limit=_NON_NEGATIVE, rho=_POSITIVE,
+    )),
+    "greens": (_run_greens, _SAMPLED),
+    "energy": (_run_energy, _SAMPLED),
+    "ode_bounds": (_run_ode_bounds, _object(
+        ("lambdas", "rho"), lambdas=_array(_NUMBER, minItems=1), rho=_POSITIVE, n_rhs=_COUNT,
+    )),
+    "extension_bound": (_run_extension_bound, _object(
+        ("spectrum", "cut", "r", "rho"),
+        spectrum=_SPECTRUM, cut=_NUMBER, r=_POSITIVE, rho=_POSITIVE, n_samples=_COUNT,
+    )),
+    "norm_probe": (_run_norm_probe, _object(
+        ("spectrum", "cut1", "cut2"),
+        spectrum=_SPECTRUM, cut1=_NUMBER, cut2=_NUMBER, n_samples=_COUNT,
+    )),
 }
+KINDS = tuple(_KINDS)
+
+_SCENARIO = _object(
+    ("kind", "payload"),
+    id={"type": "string"}, kind={"enum": KINDS}, seed=_NON_NEGATIVE_INTEGER, truncation=_COUNT,
+    payload={"type": "object"},
+)
 
 
 def run(s: Scenario) -> Report:
@@ -656,7 +557,8 @@ def run(s: Scenario) -> Report:
     start = time.perf_counter()
     rng = np.random.default_rng(s.seed)
     try:
-        result = _RUNNERS[s.kind](s, rng)
+        runner, _ = _KINDS[s.kind]
+        result = runner(s, rng)
     except Exception as e:  # one failing scenario must not abort the batch
         return Report(
             s,
@@ -768,9 +670,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--truncation", type=int, default=None, help="override truncation N")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seeds")
     parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
-    parser.add_argument(
-        "--strict", action="store_true", help="treat scenario warnings as failures"
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -794,10 +693,7 @@ def main(argv: Optional[list] = None) -> int:
     else:
         sys.stdout.write(payload.decode())
 
-    all_pass = all(r.passed for r in reports)
-    if args.strict:
-        all_pass = all_pass and all("warning" not in r.outputs for r in reports)
-    return 0 if all_pass else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

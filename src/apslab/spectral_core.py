@@ -398,19 +398,24 @@ class SigmaZero:
                 pending = f"sigma_0 block shape mismatch at mode {m.mode_id}"
                 break
             self.blocks[m.mode_id] = S
+        # A non-finite block is "not conformal" at its mode.  It is zeroed before
+        # the arithmetic, and every test below is written as "passes", so that
+        # NaN, which fails every comparison, fails it.
         read = list(self.blocks.values())
         c2 = np.empty(len(read))
         not_conformal = np.zeros(len(read), dtype=bool)
         for pos, stack in _stacks_by_shape(read):
             k = stack.shape[2]
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            stack = np.where(finite[:, None, None], stack, 0)
             gram = stack.conj().transpose(0, 2, 1) @ stack
             c = np.real(np.trace(gram, axis1=1, axis2=2)) / k
             dev = np.max(np.abs(gram - c[:, None, None] * np.eye(k)), axis=(1, 2))
             c2[pos] = c
-            not_conformal[pos] = (c <= 0) | (dev > 1e-10 * np.maximum(c, 1.0))
+            not_conformal[pos] = ~(finite & (c > 0) & (dev <= 1e-10 * np.maximum(c, 1.0)))
         if read:
             scale = float(c2[0])
-            off_scale = np.abs(c2 - scale) > 1e-10 * max(scale, 1.0)
+            off_scale = ~(np.abs(c2 - scale) <= 1e-10 * max(scale, 1.0))
             bad = np.flatnonzero(not_conformal | off_scale)
             if bad.size:
                 i = int(bad[0])
@@ -426,7 +431,7 @@ class SigmaZero:
             self._check_skew_unitary()
 
     def _check_skew_unitary(self):
-        if abs(self.scale - 1.0) > IDENTITY_TOL:
+        if not abs(self.scale - 1.0) <= IDENTITY_TOL:
             raise ValueError("skew-unitary sigma_0 must be unitary")
         ids = list(self.blocks)
         partners = [self.targets[j] for j in ids]
@@ -443,7 +448,7 @@ class SigmaZero:
             resid = np.max(
                 np.abs(stack[keep].conj().transpose(0, 2, 1) + partner_blocks), axis=(1, 2)
             )
-            not_skew[pos] = resid > IDENTITY_TOL
+            not_skew[pos] = ~(resid <= IDENTITY_TOL)
         bad = np.flatnonzero(~involutive | not_skew)
         if bad.size:
             i = int(bad[0])

@@ -19,10 +19,8 @@ from apslab.boundary_conditions import (
     make_chiral,
     make_generalized_aps,
     make_transmission,
-    membership,
     pseudo_local_check,
     quotient_dim,
-    regularity_order,
     seeded_graph_condition,
 )
 from apslab.spectral_core import (
@@ -118,9 +116,9 @@ class TestModeMap:
 class TestGeneralizedAps:
     def test_membership_by_spectral_side(self, basis):
         B = make_generalized_aps(basis, 0.5)
-        assert membership(BoundarySection.unit(basis, 0), B)
-        assert membership(BoundarySection.unit(basis, -3), B)
-        assert not membership(BoundarySection.unit(basis, 1), B)
+        assert B.membership(BoundarySection.unit(basis, 0))
+        assert B.membership(BoundarySection.unit(basis, -3))
+        assert not B.membership(BoundarySection.unit(basis, 1))
 
     def test_dim_counts_lower_modes(self, basis):
         B = make_generalized_aps(basis, 0.5)
@@ -128,7 +126,7 @@ class TestGeneralizedAps:
 
     def test_cut_on_eigenvalue_excludes_it(self, basis):
         B = make_generalized_aps(basis, 0.0)
-        assert not membership(BoundarySection.unit(basis, 0), B)
+        assert not B.membership(BoundarySection.unit(basis, 0))
 
 
 class TestChiral:
@@ -138,8 +136,8 @@ class TestChiral:
         # g maps mode -1 to mode +1 with block i * sigma = i*i = -1
         inside = BoundarySection(basis, {-1: [1.0], 1: [-1.0]})
         outside = BoundarySection(basis, {-1: [1.0], 1: [1.0]})
-        assert membership(inside, B)
-        assert not membership(outside, B)
+        assert B.membership(inside)
+        assert not B.membership(outside)
 
     def test_kernel_mode_splits_by_sign(self, basis):
         sigma = negating_sigma(basis)
@@ -150,8 +148,8 @@ class TestChiral:
         # lands in W_minus of the +1 condition and W_plus of the -1 condition
         assert Bp.dim_w_plus() == 0 and Bp.dim_w_minus() == 1
         assert Bm.dim_w_plus() == 1 and Bm.dim_w_minus() == 0
-        assert not membership(zero_vec, Bp)
-        assert membership(zero_vec, Bm)
+        assert not Bp.membership(zero_vec)
+        assert Bm.membership(zero_vec)
 
     def test_requires_skew_unitary(self, basis):
         with pytest.raises(ConditionError, match="skew-unitary"):
@@ -189,8 +187,8 @@ class TestTransmission:
         for j in (0, 2, -3):
             same = BoundarySection(db, {2 * j: [1.0], 2 * j + 1: [1.0]})
             flip = BoundarySection(db, {2 * j: [1.0], 2 * j + 1: [-1.0]})
-            assert membership(same, B)
-            assert not membership(flip, B)
+            assert B.membership(same)
+            assert not B.membership(flip)
 
     def test_kernel_pair_splits_w_families(self, basis):
         B = make_transmission(basis.doubled())
@@ -350,13 +348,6 @@ class TestQuotient:
             quotient_dim(hi, lo)
 
 
-class TestRegularity:
-    def test_band_limited_conditions_have_infinite_order(self, fine):
-        rng = np.random.default_rng(16)
-        assert regularity_order(make_generalized_aps(fine, 0.0)) == math.inf
-        assert regularity_order(seeded_graph_condition(fine, rng, cut=0.75)) == math.inf
-
-
 class TestPseudoLocalCheck:
     def test_coinciding_projections_fail_with_witness(self):
         ok, report = pseudo_local_check([("m0", [[1.0]], [[1.0]])], a=0.0)
@@ -433,8 +424,8 @@ class TestSeededGraphCondition:
         rng = np.random.default_rng(seed)
         B = seeded_graph_condition(fine, rng, cut=cut, g_norm=g_norm)
         for phi in members(B, rng, 3):
-            assert membership(phi, B)
+            assert B.membership(phi)
         # and a fresh random section is essentially never a member
         x = random_section(fine, rng)
         if np.linalg.norm(x.to_dense() - B.project(x.to_dense())) > 1e-6:
-            assert not membership(x, B)
+            assert not B.membership(x)

@@ -21,13 +21,12 @@ from apslab.cylinder_solver import (
     model_adjoint_apply,
     model_apply,
     ode_bound_check,
-    r_lambda,
     random_cylinder_section,
     riso_residual,
     s0_apply,
     solve_bvp,
 )
-from apslab.expoly import Profile
+from apslab.expoly import Profile, first_order_solve
 from apslab.spectral_core import EigenmodeBasis, SigmaZero, random_section
 
 RHO = 1.0
@@ -107,7 +106,7 @@ class TestCylinderSection:
 
 class TestRightInverse:
     def test_r_lambda_solves_per_mode(self):
-        f = r_lambda(2.0, Profile.constant(1.0, 0.0, RHO))
+        f = first_order_solve(2.0, Profile.constant(1.0, 0.0, RHO))
         res = f.derivative() + f.scale(2.0) - Profile.constant(1.0, 0.0, RHO)
         assert res.sup_on_grid(33) < 1e-13
         assert f(0.0) == 0.0

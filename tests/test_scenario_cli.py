@@ -6,6 +6,9 @@ import io
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -30,7 +33,8 @@ REFERENCE_PROBLEM = {
     "right": {"type": "aps", "keep_from": 0.0},
 }
 
-EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples.json")
+DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
+EXAMPLES = os.path.join(DOCS, "examples.json")
 
 FINE_SPECTRUM = {"n": 16, "shift": 0.25, "spacing": 0.5, "band_limit": 4.0}
 
@@ -93,6 +97,132 @@ class TestParsing:
         s = scenario("index", REFERENCE_PROBLEM)
         assert s.seed == 0 and s.truncation is None
         assert s.scenario_id.startswith("scenario-")
+
+
+def with_field(doc: dict, path: tuple, value=None, delete=False) -> dict:
+    """A deep copy of ``doc`` with the field at ``path`` replaced or deleted."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if delete:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+SOLVE = {
+    "kind": "solve",
+    "payload": {**REFERENCE_PROBLEM, "rhs": [{"mode_id": 1, "terms": [[1.0, 0.0, 0, 0.3, 0.0]]}]},
+}
+PAIR = {
+    "kind": "fredholm_pair",
+    "payload": {
+        "spectrum": {"band_limit": 2.0},
+        "first": {"type": "graph", "g_norm": 0.5},
+        "second": {"type": "aps"},
+    },
+}
+
+
+class TestPayloadRules:
+    """Each rule form of the payload checker, against the example payloads."""
+
+    @pytest.mark.parametrize(
+        "doc, path, value, where",
+        [
+            (SOLVE, ("payload", "spectrum", "shift"), "x", "$.payload.spectrum.shift"),
+            (SOLVE, ("payload", "rho"), 0, "$.payload.rho"),
+            (PAIR, ("payload", "first", "g_norm"), -1, "$.payload.first.g_norm"),
+            (SOLVE, ("payload", "left", "type"), "teleport", "$.payload.left.type"),
+            (SOLVE, ("payload", "rhs", 0, "terms", 0), [1, 0, 0, 0.3], "$.payload.rhs[0].terms[0]"),
+            (SOLVE, ("payload", "rhs", 0, "terms", 0), [1, 0, 0, 0, 0, 1], "$.payload.rhs[0].terms[0]"),
+            (SOLVE, ("payload",), [1, 2], "$.payload"),
+            (SOLVE, ("kind",), "mystery", "$.kind"),
+            (SOLVE, ("payload", "rho"), True, "$.payload.rho"),
+            (SOLVE, ("seed",), 1.5, "$.seed"),
+        ],
+        ids=[
+            "wrong-type", "strict-bound-at-limit", "inclusive-bound-below", "unknown-enum-value",
+            "array-too-short", "array-too-long", "non-object-payload", "unknown-kind",
+            "bool-is-not-a-number", "fractional-integer",
+        ],
+    )
+    def test_bad_value_is_rejected_at_its_path(self, doc, path, value, where):
+        with pytest.raises(ScenarioError, match=re.escape(f"schema violation at {where}: ")):
+            parse_scenario(with_field(doc, path, value))
+
+    @pytest.mark.parametrize(
+        "doc, path, where",
+        [
+            (SOLVE, ("payload", "rho"), "$.payload.rho"),
+            (SOLVE, ("payload", "rhs", 0, "terms"), "$.payload.rhs[0].terms"),
+            (PAIR, ("payload", "second", "type"), "$.payload.second.type"),
+            (SOLVE, ("kind",), "$.kind"),
+        ],
+        ids=["rho", "terms", "condition-type", "kind"],
+    )
+    def test_missing_required_field_is_named(self, doc, path, where):
+        with pytest.raises(ScenarioError, match=re.escape(f"schema violation at {where}: required")):
+            parse_scenario(with_field(doc, path, delete=True))
+
+    def test_integral_float_is_an_integer(self):
+        doc = with_field(SOLVE, ("payload", "rhs", 0, "mode_id"), 1.0)
+        doc["payload"]["spectrum"]["n"] = 3.0
+        assert run(parse_scenario(doc)).passed
+
+    def test_unknown_fields_are_ignored(self):
+        doc = with_field(SOLVE, ("payload", "left", "colour"), [True, "x"])
+        doc["note"] = {"free": "form"}
+        assert parse_scenario(doc).payload["left"]["colour"] == [True, "x"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_passes_the_bounds_and_is_rejected(self, value):
+        with pytest.raises(ScenarioError, match=r"non-finite number at \$\.payload\.rho"):
+            parse_scenario(with_field(SOLVE, ("payload", "rho"), value))
+
+    def test_importing_the_cli_does_not_load_jsonschema(self):
+        code = "import sys, apslab.scenario_cli; print('jsonschema' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+def documented_examples() -> list:
+    """Every scenario of docs/examples.json, then every JSON example under "Kinds"."""
+    with open(EXAMPLES) as fh:
+        items = [("examples.json", item) for item in json.load(fh)["scenarios"]]
+    with open(os.path.join(DOCS, "scenarios.md")) as fh:
+        kinds_section = fh.read().split("## Kinds", 1)[1]
+    decoder = json.JSONDecoder()
+    whitespace = re.compile(r"\s*")
+    for block in re.findall(r"```json\n(.*?)```", kinds_section, re.S):
+        pos = 0
+        while (pos := whitespace.match(block, pos).end()) < len(block):
+            item, pos = decoder.raw_decode(block, pos)
+            items.append(("scenarios.md", item))
+    return items
+
+
+DOCUMENTED = documented_examples()
+
+
+class TestDocumentedExamples:
+    @pytest.mark.parametrize(
+        "source, item", DOCUMENTED, ids=lambda v: v if isinstance(v, str) else v["id"]
+    )
+    def test_example_passes(self, source, item):
+        rep = run(parse_scenario(item))
+        assert rep.passed, rep.outputs
+
+    def test_examples_cover_every_kind(self):
+        for source in ("examples.json", "scenarios.md"):
+            kinds = {item["kind"] for s, item in DOCUMENTED if s == source}
+            assert kinds == set(KINDS), source
 
 
 class TestRunners:
@@ -159,11 +289,6 @@ class TestRunners:
         assert not rep.passed
         assert rep.outputs["error_type"] == "OverflowError"
         assert rep.outputs["error"].startswith("OverflowError: ")
-
-    def test_every_kind_has_a_runner(self):
-        from apslab.scenario_cli import _RUNNERS
-
-        assert set(_RUNNERS) == set(KINDS)
 
 
 class TestDeterminism:

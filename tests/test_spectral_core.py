@@ -229,6 +229,34 @@ class TestSigmaZero:
         with pytest.raises(ValueError, match="conformal scale"):
             SigmaZero(basis, blocks)
 
+    # NaN fails every comparison, so tests written as "fails" let NaN through:
+    # all-NaN blocks built with scale nan, and one NaN block among unit ones with
+    # scale 1.0.  Any non-finite block is not conformal at its mode.
+    @pytest.mark.parametrize(
+        "bad, first_bad",
+        [
+            ({j: math.nan for j in range(-3, 4)}, -3),
+            ({1: math.nan}, 1),
+            ({-1: math.inf}, -1),
+            ({-3: math.inf}, -3),
+            ({2: -math.inf, 3: math.nan}, 2),
+            ({0: complex(1.0, math.nan)}, 0),
+        ],
+        ids=["all-nan", "one-nan", "one-inf", "first-inf", "inf-then-nan", "complex-nan"],
+    )
+    def test_non_finite_block_is_not_conformal(self, bad, first_bad):
+        basis = EigenmodeBasis.lattice(3, band_limit=1.0)
+        blocks = {m.mode_id: [[bad.get(m.mode_id, 1.0)]] for m in basis.modes}
+        with pytest.raises(ValueError, match=f"at mode {first_bad} is not conformal"):
+            SigmaZero(basis, blocks)
+
+    def test_non_finite_fiber_block_is_not_conformal(self):
+        basis = EigenmodeBasis.lattice(2, fiber_dim=2, band_limit=1.0)
+        blocks = {m.mode_id: np.eye(2) for m in basis.modes}
+        blocks[1] = np.array([[1.0, 0.0], [0.0, math.inf]])
+        with pytest.raises(ValueError, match="at mode 1 is not conformal"):
+            SigmaZero(basis, blocks)
+
     def test_beta_pairing_example(self, basis):
         s = SigmaZero.scalar(basis, 1j)
         phi = BoundarySection.unit(basis, 0)
