@@ -265,7 +265,12 @@ class CylinderProblem:
                 raise SolverError("right condition must be expressed over -A")
 
     def on_basis(self, basis: EigenmodeBasis) -> "CylinderProblem":
-        """Regenerate the whole problem over an extending basis (truncation certificates)."""
+        """Regenerate the whole problem over an extending basis.
+
+        The truncation certificate builds the doubled problem this way and
+        compares it with this one mode by mode, without solving it, unless
+        its condition data touch the added modes; then it solves it again.
+        """
         return CylinderProblem(
             basis,
             self.sigma0.on_lattice(basis),
@@ -352,15 +357,18 @@ def homogeneous_constraint_matrix(P: CylinderProblem) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _kernel_coefficients(M: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal nullspace columns of M (dim columns if M is empty)."""
+def _kernel_coefficients(M: np.ndarray, dim: int, cut: Optional[float] = None) -> np.ndarray:
+    """Orthonormal nullspace columns of M (dim columns if M is empty).
+
+    Singular values at or below ``cut`` count as zero; by default the cut is
+    RANK_THRESHOLD times the largest one.
+    """
     if M.shape[0] == 0:
         return np.eye(dim, dtype=complex)
     u, s, vh = np.linalg.svd(M)
-    if s.size:
-        rank = int(np.sum(s > RANK_THRESHOLD * s[0]))
-    else:
-        rank = 0
+    if cut is None:
+        cut = RANK_THRESHOLD * s[0] if s.size else 0.0
+    rank = int(np.sum(s > cut))
     return vh[rank:, :].conj().T
 
 
@@ -375,10 +383,14 @@ def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> Cyli
     return CylinderSection(basis, rho, out)
 
 
-def homogeneous_kernel(P: CylinderProblem) -> list:
-    """All solutions of D_0 Phi = 0 meeting both boundary conditions."""
+def homogeneous_kernel(P: CylinderProblem, cut: Optional[float] = None) -> list:
+    """All solutions of D_0 Phi = 0 meeting both boundary conditions.
+
+    ``cut`` is the singular-value cut of ``_kernel_coefficients``; ``index``
+    passes the one a problem and its adjoint share.
+    """
     M = homogeneous_constraint_matrix(P)
-    K = _kernel_coefficients(M, P.basis.total_dim)
+    K = _kernel_coefficients(M, P.basis.total_dim, cut)
     return [_coeffs_to_section(P.basis, P.rho, K[:, i]) for i in range(K.shape[1])]
 
 

@@ -4,8 +4,19 @@ Kernel and cokernel dimensions are finite linear-algebra computations because
 all boundary data is band-limited: outside the perturbation band each mode
 obeys a pure per-mode sign rule.  Two independent assembly routes are kept —
 a dense full-basis route and a banded route (sign table plus a small block on
-the touched modes) — and every report carries a truncation certificate that
-re-runs the whole construction on a doubled basis.
+the touched modes).  A problem and its adjoint are rank-decided against one
+singular-value cut.
+
+A certified report passes two checks.  The formula check: every condition is
+in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it
+Fredholm, so the index is the APS index at the cuts plus dim W_+ - dim W_-; on
+the truncated lattice this reads ind = dim B_L + dim B_R - total_dim, and
+ker - coker must equal it.  Exact doubling: the problem is rebuilt on the
+doubled lattice but not solved.  When its condition data touch the same modes
+as before, the added modes obey the sign rule: those free at both cuts would
+join the kernel and those constrained at both the cokernel, and both counts
+must be 0.  Only conditions whose data touch the added modes (chiral and
+transmission g pair every mode) are solved again on the doubled lattice.
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ import numpy as np
 
 from .spectral_core import (
     BasisMismatchError,
-    BoundarySection,
     EigenmodeBasis,
     Mode,
     SigmaZero,
@@ -32,17 +42,21 @@ from .boundary_conditions import (
     make_generalized_aps,
 )
 from .cylinder_solver import (
+    RANK_THRESHOLD,
     CylinderProblem,
     adjoint_problem,
     homogeneous_constraint_matrix,
     homogeneous_kernel,
 )
 
-RANK_THRESHOLD = 1e-9
-
-
 class CertificateError(RuntimeError):
-    """Raised when the doubled-truncation recomputation disagrees."""
+    """Raised when a certified index fails the formula check or the doubling check.
+
+    The formula check compares ker - coker with dim B_L + dim B_R - total_dim.
+    The doubling check compares ker and coker with their values on the doubled
+    lattice, counted by the sign rule on the added modes, or re-solved there
+    when the condition data touch them.
+    """
 
 
 class PairHypothesisError(ValueError):
@@ -72,19 +86,18 @@ class FredholmPairReport:
     index: int
 
 
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+
+
 def _rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if not s.size or s[0] == 0:
-        return 0
-    return int(np.sum(s > RANK_THRESHOLD * s[0]))
+    s = _singular_values(M)
+    return int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size else 0
 
 
 def dense_kernel_dim(P: CylinderProblem) -> int:
     """Kernel dimension from the full-basis constraint matrix."""
-    M = homogeneous_constraint_matrix(P)
-    return P.basis.total_dim - _rank(M)
+    return kernel_dim(P, "dense")
 
 
 def _condition_generators(cond: BoundaryCondition, touched: list) -> list:
@@ -111,21 +124,26 @@ def _condition_generators(cond: BoundaryCondition, touched: list) -> list:
     return gens
 
 
-def banded_kernel_dim(P: CylinderProblem) -> int:
-    """Kernel dimension from the per-mode sign table plus a touched-mode block.
+def _touched_modes(cond: BoundaryCondition) -> set:
+    """The mode ids that carry W support or a g entry of ``cond``.
+
+    Every other mode obeys the per-mode sign rule at that end.
+    """
+    b = cond.basis
+    rows = np.flatnonzero(np.any(cond.w_all() != 0, axis=1))
+    ids = {b.modes[i].mode_id for i in np.unique(b.coord_mode[rows]).tolist()}
+    return ids | cond.g.source_ids() | cond.g.target_ids()
+
+
+def _banded_system(P: CylinderProblem) -> tuple:
+    """(free, M): the untouched modes free at both ends, and the touched-mode block.
 
     Modes untouched by any W or g data obey pure APS rules at both ends; the
     remaining modes form one small dense system assembled from raw generators.
-    This route shares no assembly code with ``dense_kernel_dim``.
+    This route shares no assembly code with the dense one.
     """
     basis = P.basis
-    touched: set = set()
-    for cond in (P.left, P.right):
-        for W in (cond.w_plus, cond.w_minus):
-            for i in range(W.shape[1] if W.size else 0):
-                sec = BoundarySection.from_dense(cond.basis, W[:, i])
-                touched |= set(sec.support())
-        touched |= cond.g.source_ids() | cond.g.target_ids()
+    touched = _touched_modes(P.left) | _touched_modes(P.right)
 
     total = 0
     for m in basis.modes:
@@ -137,7 +155,7 @@ def banded_kernel_dim(P: CylinderProblem) -> int:
             total += m.fiber_dim
 
     if not touched:
-        return total
+        return total, np.zeros((0, 0), dtype=complex)
 
     tlist = sorted(touched, key=lambda mid: basis.offset(mid))
     pos = {}
@@ -171,15 +189,93 @@ def banded_kernel_dim(P: CylinderProblem) -> int:
     for g in _condition_generators(P.right, tlist):
         rows.append(np.conj(restrict(g, P.right.basis)) * scale_r)
     M = np.vstack(rows) if rows else np.zeros((0, n), dtype=complex)
-    return total + n - _rank(M)
+    return total, M
+
+
+def banded_kernel_dim(P: CylinderProblem) -> int:
+    """Kernel dimension from the per-mode sign table plus a touched-mode block."""
+    return kernel_dim(P, "banded")
+
+
+def _constraint_spectrum(P: CylinderProblem, route: str) -> tuple:
+    """(n, s) with dim ker P = n - rank: the unknowns and singular values of P's constraints."""
+    if route == "dense":
+        free, M = 0, homogeneous_constraint_matrix(P)
+    elif route == "banded":
+        free, M = _banded_system(P)
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return free + M.shape[1], _singular_values(M)
 
 
 def kernel_dim(P: CylinderProblem, route: str = "dense") -> int:
-    if route == "dense":
-        return dense_kernel_dim(P)
-    if route == "banded":
-        return banded_kernel_dim(P)
-    raise ValueError(f"unknown route {route!r}")
+    n, s = _constraint_spectrum(P, route)
+    return n - (int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size else 0)
+
+
+def _ker_coker(P: CylinderProblem, Pad: CylinderProblem, route: str) -> tuple:
+    """(dim ker P, dim ker Pad, cut): both kernels decided against one cut.
+
+    The cut is RANK_THRESHOLD times the larger of the two largest singular
+    values.  A relative cut per matrix can keep a singular value that the two
+    share for one of them and drop it for the other.
+    """
+    (nk, sk), (nc, sc) = (_constraint_spectrum(Q, route) for Q in (P, Pad))
+    cut = RANK_THRESHOLD * max((s[0] for s in (sk, sc) if s.size), default=0.0)
+    return nk - int(np.sum(sk > cut)), nc - int(np.sum(sc > cut)), cut
+
+
+def _formula_index(P: CylinderProblem) -> int:
+    """The index by the graph-index theorem, on the truncated lattice: no rank taken."""
+    return P.left.dim() + P.right.dim() - P.basis.total_dim
+
+
+def _doubling_counts(P: CylinderProblem, P2: CylinderProblem) -> Optional[tuple]:
+    """(ker, coker) that the modes of P2 missing from P add, by the sign rule.
+
+    An added mode free at both cuts adds its fiber to the kernel, one
+    constrained at both adds it to the cokernel.  This is exact only when P2
+    is P plus untouched modes, so the counts are None unless every mode of P
+    keeps its eigenvalue in P2, each end's condition data touch the same modes
+    in P2 as in P (so none of the added ones), and the formula index of P2 is
+    that of P plus ker - coker.
+    """
+    b, b2 = P.basis, P2.basis
+    if any(m.mode_id not in b2 or b2.mode(m.mode_id) != m for m in b.modes):
+        return None
+    for end, end2 in ((P.left, P2.left), (P.right, P2.right)):
+        if _touched_modes(end2) != _touched_modes(end):
+            return None
+    coord_ids = np.array([m.mode_id for m in b2.modes])[b2.coord_mode]
+    added = ~np.isin(coord_ids, [m.mode_id for m in b.modes])
+    lam = b2.coord_eigenvalue[added]
+    free_left = lam < P2.left.cut
+    free_right = -lam < P2.right.cut
+    ker = int(np.sum(free_left & free_right))
+    coker = int(np.sum(~free_left & ~free_right))
+    if _formula_index(P2) != _formula_index(P) + ker - coker:
+        return None
+    return ker, coker
+
+
+def _certify(P: CylinderProblem, route: str, dk: int, dc: int) -> None:
+    """The formula check, then the doubling check; raises CertificateError."""
+    formula = _formula_index(P)
+    if dk - dc != formula:
+        raise CertificateError(
+            f"index formula check failed: ker {dk} - coker {dc} != "
+            f"dim B_L + dim B_R - total_dim = {formula}"
+        )
+    P2 = P.on_basis(P.basis.extended(2))
+    added = _doubling_counts(P, P2)
+    if added is None:
+        dk2, dc2, _ = _ker_coker(P2, adjoint_problem(P2), route)
+    else:
+        dk2, dc2 = dk + added[0], dc + added[1]
+    if (dk2, dc2) != (dk, dc):
+        raise CertificateError(
+            f"truncation certificate failed: ker {dk}->{dk2}, coker {dc}->{dc2}"
+        )
 
 
 def index(
@@ -188,24 +284,24 @@ def index(
     certify: bool = True,
     with_bases: bool = False,
 ) -> IndexReport:
-    """Exact index of the boundary-value problem, with a doubled-basis certificate."""
+    """Exact index of the boundary-value problem, certified as the module docstring says.
+
+    ``doubled_agrees`` is True when the certificate ran (a failing one raises
+    CertificateError) and None without it.  The kernel and cokernel bases
+    come from the dense constraint matrices, cut like the dense route.
+    """
     Pad = adjoint_problem(P)
-    dk = kernel_dim(P, route)
-    dc = kernel_dim(Pad, route)
+    dk, dc, cut = _ker_coker(P, Pad, route)
     cert = {"N_used": P.basis.total_dim, "doubled_agrees": None}
     if certify:
-        P2 = P.on_basis(P.basis.extended(2))
-        dk2 = kernel_dim(P2, route)
-        dc2 = kernel_dim(adjoint_problem(P2), route)
-        cert["doubled_agrees"] = dk2 == dk and dc2 == dc
-        if not cert["doubled_agrees"]:
-            raise CertificateError(
-                f"truncation certificate failed: ker {dk}->{dk2}, coker {dc}->{dc2}"
-            )
+        _certify(P, route, dk, dc)
+        cert["doubled_agrees"] = True
     kb, cb = [], []
     if with_bases:
-        kb = homogeneous_kernel(P)
-        cb = homogeneous_kernel(Pad)
+        if route != "dense":
+            cut = _ker_coker(P, Pad, "dense")[2]
+        kb = homogeneous_kernel(P, cut)
+        cb = homogeneous_kernel(Pad, cut)
     return IndexReport(dk, dc, dk - dc, cert, kb, cb)
 
 

@@ -1,0 +1,251 @@
+"""Tests for the rank-free truncation certificate and the shared rank cut.
+
+A certified ``index()`` checks ker - coker against the index formula
+dim B_L + dim B_R - total_dim, and counts what the doubled lattice adds by the
+per-mode sign rule instead of solving it.  ``full_resolve`` solves the whole
+problem again at 2N; it is the reference those counts must equal.
+"""
+
+import numpy as np
+import pytest
+
+from apslab import cylinder_solver, index_calculus
+from apslab.boundary_conditions import (
+    BoundaryCondition,
+    complement_condition,
+    deform,
+    make_chiral,
+    make_generalized_aps,
+    seeded_graph_condition,
+)
+from apslab.cylinder_solver import CylinderProblem, adjoint_problem
+from apslab.index_calculus import (
+    CertificateError,
+    _doubling_counts,
+    chiral_block_basis,
+    cobordism_check,
+    index,
+    kernel_dim,
+)
+from apslab.spectral_core import EigenmodeBasis, SigmaZero
+
+CUTS = [-100.0, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 100.0]
+
+
+def problem(basis, left, right, rho=1.0):
+    return CylinderProblem(basis, SigmaZero.scalar(basis, 1j), rho, left, right)
+
+
+def aps_problem(basis, a, b):
+    return problem(
+        basis, make_generalized_aps(basis, a), make_generalized_aps(basis.negated(), b)
+    )
+
+
+def full_resolve(P, route="dense"):
+    """(dim ker, dim coker) of the whole problem rebuilt and solved on the doubled lattice."""
+    P2 = P.on_basis(P.basis.extended(2))
+    return kernel_dim(P2, route), kernel_dim(adjoint_problem(P2), route)
+
+
+def exact_doubled(P, route="dense"):
+    """(dim ker, dim coker) on the doubled lattice from the sign-rule counts of the added modes."""
+    rep = index(P, route=route, certify=False)
+    added = _doubling_counts(P, P.on_basis(P.basis.extended(2)))
+    assert added is not None, "the exact doubling path was not taken"
+    return rep.dim_ker + added[0], rep.dim_coker + added[1]
+
+
+def graph_problem(shift, rho, graph_seed, a, c, left_w, right_w):
+    """One ``index_fresh`` problem of the benchmark: lattice(128), graph conditions at both ends."""
+    basis = EigenmodeBasis.lattice(128, shift=shift, band_limit=6.0)
+    nb = basis.negated()
+    rng = np.random.default_rng(graph_seed)
+    left = seeded_graph_condition(
+        basis, rng, cut=a, dim_w_plus=left_w[0], dim_w_minus=left_w[1], g_norm=0.7
+    )
+    right = seeded_graph_condition(
+        nb, rng, cut=c, dim_w_plus=right_w[0], dim_w_minus=right_w[1], g_norm=0.6
+    )
+    return problem(basis, left, right, rho)
+
+
+class TestExactDoublingMatchesResolve:
+    @pytest.fixture
+    def basis(self):
+        return EigenmodeBasis.lattice(8, band_limit=4.0)
+
+    @pytest.mark.parametrize("a", CUTS)
+    @pytest.mark.parametrize("b", CUTS)
+    def test_aps_cut_grid(self, basis, a, b):
+        P = aps_problem(basis, a, b)
+        assert exact_doubled(P) == full_resolve(P)
+
+    @pytest.mark.parametrize("fiber_dim", [1, 2])
+    @pytest.mark.parametrize("route", ["dense", "banded"])
+    def test_seeded_graph_conditions(self, fiber_dim, route):
+        basis = EigenmodeBasis.lattice(12, shift=0.25, fiber_dim=fiber_dim, band_limit=6.0)
+        nb = basis.negated()
+        for seed in range(6):
+            rng = np.random.default_rng(600 + seed)
+            left = seeded_graph_condition(
+                basis,
+                rng,
+                cut=float(rng.choice([-0.75, 0.75, 1.75])),
+                dim_w_plus=int(rng.integers(0, 3)),
+                dim_w_minus=int(rng.integers(0, 3)),
+                g_norm=float(rng.uniform(0.2, 1.5)),
+            )
+            right = seeded_graph_condition(nb, rng, cut=-0.25, g_norm=0.6)
+            P = problem(basis, left, right)
+            assert exact_doubled(P, route) == full_resolve(P, route)
+
+    def test_deformed_conditions(self):
+        basis = EigenmodeBasis.lattice(16, shift=0.25, spacing=0.5, band_limit=4.0)
+        nb = basis.negated()
+        left = seeded_graph_condition(basis, np.random.default_rng(31), cut=0.75, g_norm=1.3)
+        for s in (0.0, 0.4, 1.0):
+            P = problem(basis, deform(left, s), make_generalized_aps(nb, nb.cut_above(0.0)))
+            assert exact_doubled(P) == full_resolve(P)
+
+    def test_complement_conditions(self):
+        basis = EigenmodeBasis.lattice(16, shift=0.25, spacing=0.5, band_limit=4.0)
+        for seed in range(4):
+            B = seeded_graph_condition(basis, np.random.default_rng(70 + seed), cut=0.75)
+            P = problem(basis, make_generalized_aps(basis, -0.25), complement_condition(B))
+            assert exact_doubled(P) == full_resolve(P)
+
+
+class TestCertificateCatches:
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (-100.0, None, "ker 0->0, coker 8->16"),
+            (0.0, 100.0, "ker 8->16, coker 0->0"),
+            (0.0, -100.0, "ker 0->0, coker 9->17"),
+        ],
+    )
+    def test_cut_beyond_the_spectrum(self, a, b, message):
+        # the doubled lattice frees (or constrains) the added modes at both ends
+        basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+        nb = basis.negated()
+        P = aps_problem(basis, a, nb.cut_above(0.0) if b is None else b)
+        with pytest.raises(CertificateError) as err:
+            index(P)
+        assert str(err.value) == f"truncation certificate failed: {message}"
+
+    def test_banded_long_cylinder_miscount_fails_the_formula(self):
+        # index_fresh seed 7 round 2 slot 2 at rho=25: the banded route counts
+        # ker 4, coker 1 against the formula index 2
+        P = graph_problem(
+            0.18014373174994236, 25.0, 1800582554,
+            -0.4278831136217871, 1.2231595559620276, (2, 1), (1, 1),
+        )
+        with pytest.raises(CertificateError, match="index formula check failed"):
+            index(P, route="banded")
+        assert index(P).index == 2
+
+    def test_regenerated_condition_that_moves_its_cut_is_resolved(self):
+        # the regenerated left cut frees mode 1 on the doubled lattice, so the
+        # formula index of P2 is not that of P plus the added modes' counts
+        basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+        nb = basis.negated()
+        left = BoundaryCondition(
+            basis, 0.5, provenance="aps", regen=lambda b: make_generalized_aps(b, 1.5)
+        )
+        P = problem(basis, left, make_generalized_aps(nb, nb.cut_above(0.0)))
+        assert _doubling_counts(P, P.on_basis(basis.extended(2))) is None
+        with pytest.raises(CertificateError, match=r"ker 1->2, coker 0->0"):
+            index(P)
+
+    def test_chiral_conditions_are_resolved_on_the_doubled_lattice(self, monkeypatch):
+        # chiral g pairs every mode, so the added modes are touched and the
+        # doubling cannot be counted by the sign rule
+        basis, sigma = chiral_block_basis(4, lambda j: 1j * j, band_limit=2.0)
+        neg = sigma.negated_boundary()
+        P = CylinderProblem(
+            basis, sigma, 1.0, make_chiral(basis, sigma), make_chiral(neg.basis, neg)
+        )
+        P2 = P.on_basis(P.basis.extended(2))
+        assert _doubling_counts(P, P2) is None
+        calls = []
+        real = index_calculus.adjoint_problem
+        monkeypatch.setattr(
+            index_calculus, "adjoint_problem", lambda Q: calls.append(Q.basis.total_dim) or real(Q)
+        )
+        rep = cobordism_check(basis, sigma)
+        assert rep["pass"], rep
+        assert all(r.truncation_certificate["doubled_agrees"] is True for r in rep["reports"])
+        # index_plus and index_minus each build the adjoint at D and at 2N
+        D, D2 = basis.total_dim, P2.basis.total_dim
+        assert sorted(calls) == [D, D, D2, D2]
+
+
+class TestCertificateWork:
+    """A certified APS or graph index() takes no rank at 2N."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"matrices": [], "adjoints": 0}
+        build = index_calculus.homogeneous_constraint_matrix
+        adjoint = index_calculus.adjoint_problem
+
+        def count_matrix(P):
+            M = build(P)
+            calls["matrices"].append((P.basis.total_dim, M.shape[1]))
+            return M
+
+        def count_adjoint(P):
+            calls["adjoints"] += 1
+            return adjoint(P)
+
+        monkeypatch.setattr(index_calculus, "homogeneous_constraint_matrix", count_matrix)
+        monkeypatch.setattr(index_calculus, "adjoint_problem", count_adjoint)
+        return calls
+
+    def test_aps_problem(self, counted):
+        basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+        rep = index(aps_problem(basis, 0.5, basis.negated().cut_above(0.0)))
+        assert rep.truncation_certificate["doubled_agrees"] is True
+        D = basis.total_dim
+        assert counted == {"matrices": [(D, D), (D, D)], "adjoints": 1}
+
+    def test_graph_problem(self, counted):
+        P = graph_problem(0.1, 1.5, 12345, -0.5, 1.4, (1, 1), (1, 2))
+        rep = index(P)
+        assert rep.truncation_certificate["doubled_agrees"] is True
+        D = P.basis.total_dim
+        assert counted == {"matrices": [(D, D), (D, D)], "adjoints": 1}
+
+
+# index_fresh seeds 6 and 7 (round 5 and round 9, slot 0): a singular value of
+# ~1.1e-9 that a problem and its adjoint share sat between their two relative
+# cuts, so it was kept for one and dropped for the other
+SHORT_CYLINDERS = {
+    "seed6": (0.10346194702664824, 1.754093010461263, 217770344,
+              -0.4305214439225634, 1.3197921408933408),
+    "seed7": (-0.20370340119245967, 1.9207194727256045, 582814436,
+              0.5049163958596536, 0.8193523643353233),
+}
+
+
+class TestSharedRankCut:
+    @pytest.mark.parametrize("case", sorted(SHORT_CYLINDERS))
+    @pytest.mark.parametrize("route", ["dense", "banded"])
+    def test_short_cylinder_index(self, case, route):
+        shift, rho, graph_seed, a, c = SHORT_CYLINDERS[case]
+        for r in (rho, rho / 2):
+            P = graph_problem(shift, r, graph_seed, a, c, (1, 1), (1, 2))
+            rep = index(P, route=route)
+            assert rep.index == 0
+            assert rep.truncation_certificate["doubled_agrees"] is True
+
+    def test_bases_have_the_reported_dimensions(self):
+        shift, rho, graph_seed, a, c = SHORT_CYLINDERS["seed7"]
+        P = graph_problem(shift, rho, graph_seed, a, c, (1, 1), (1, 2))
+        rep = index(P, certify=False, with_bases=True)
+        assert len(rep.kernel_basis) == rep.dim_ker
+        assert len(rep.cokernel_basis) == rep.dim_coker
+
+    def test_one_threshold(self):
+        assert index_calculus.RANK_THRESHOLD is cylinder_solver.RANK_THRESHOLD
