@@ -553,34 +553,15 @@ def deform(B: BoundaryCondition, s: float) -> BoundaryCondition:
         raise ConditionError("deformation parameter must lie in [0, 1]")
     wp = [BoundarySection.from_dense(B.basis, B.w_plus[:, i]) for i in range(B.dim_w_plus())]
     wm = [BoundarySection.from_dense(B.basis, B.w_minus[:, i]) for i in range(B.dim_w_minus())]
-    base_regen = B.regen
-
-    def regen(new_basis: EigenmodeBasis) -> BoundaryCondition:
-        inner = base_regen(new_basis) if base_regen else None
-        if inner is None:
-            tmp = BoundaryCondition(
-                new_basis,
-                B.cut,
-                [BoundarySection(new_basis, w.coeffs) for w in wp],
-                [BoundarySection(new_basis, w.coeffs) for w in wm],
-                ModeMap(new_basis, B.g.entries, B.g.tag),
-                B.provenance,
-            )
-            return deform_no_regen(tmp, s)
-        return deform_no_regen(inner, s)
-
-    def deform_no_regen(base: BoundaryCondition, sv: float) -> BoundaryCondition:
-        return BoundaryCondition(
-            base.basis,
-            base.cut,
-            [BoundarySection.from_dense(base.basis, base.w_plus[:, i]) for i in range(base.dim_w_plus())],
-            [BoundarySection.from_dense(base.basis, base.w_minus[:, i]) for i in range(base.dim_w_minus())],
-            base.g.scale(sv),
-            base.provenance,
-        )
-
-    out = BoundaryCondition(B.basis, B.cut, wp, wm, B.g.scale(s), B.provenance, regen=regen)
-    return out
+    return BoundaryCondition(
+        B.basis,
+        B.cut,
+        wp,
+        wm,
+        B.g.scale(s),
+        B.provenance,
+        regen=lambda nb: deform(B.on_basis(nb), s),
+    )
 
 
 def quotient_dim(B1: BoundaryCondition, B2: BoundaryCondition) -> int:

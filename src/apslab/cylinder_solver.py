@@ -357,19 +357,22 @@ def homogeneous_constraint_matrix(P: CylinderProblem) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _kernel_coefficients(M: np.ndarray, dim: int, cut: Optional[float] = None) -> np.ndarray:
-    """Orthonormal nullspace columns of M (dim columns if M is empty).
+def _shared_cut(*spectra: np.ndarray) -> float:
+    """The one singular-value cut for the constraints of a problem and its adjoint.
 
-    Singular values at or below ``cut`` count as zero; by default the cut is
-    RANK_THRESHOLD times the largest one.
+    It is RANK_THRESHOLD times the largest singular value of any of the
+    matrices.  A relative cut per matrix can keep a singular value that a
+    problem and its adjoint share for one of them and drop it for the other.
     """
+    return RANK_THRESHOLD * max((s[0] for s in spectra if s.size), default=0.0)
+
+
+def _svd(M: np.ndarray, dim: int) -> tuple:
+    """(s, vh) of M with a square vh; an empty M has no singular values and vh = I."""
     if M.shape[0] == 0:
-        return np.eye(dim, dtype=complex)
-    u, s, vh = np.linalg.svd(M)
-    if cut is None:
-        cut = RANK_THRESHOLD * s[0] if s.size else 0.0
-    rank = int(np.sum(s > cut))
-    return vh[rank:, :].conj().T
+        return np.zeros(0), np.eye(dim, dtype=complex)
+    _, s, vh = np.linalg.svd(M)
+    return s, vh
 
 
 def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> CylinderSection:
@@ -383,21 +386,28 @@ def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> Cyli
     return CylinderSection(basis, rho, out)
 
 
-def homogeneous_kernel(P: CylinderProblem, cut: Optional[float] = None) -> list:
+def _kernel_sections(P: CylinderProblem, s: np.ndarray, vh: np.ndarray, cut: float) -> list:
+    """Orthonormal kernel of P: the rows of vh past the singular values above ``cut``."""
+    K = vh[int(np.sum(s > cut)) :, :].conj()
+    return [_coeffs_to_section(P.basis, P.rho, c) for c in K]
+
+
+def homogeneous_kernel(P: CylinderProblem, cut: float) -> list:
     """All solutions of D_0 Phi = 0 meeting both boundary conditions.
 
-    ``cut`` is the singular-value cut of ``_kernel_coefficients``; ``index``
-    passes the one a problem and its adjoint share.
+    Singular values of the constraint matrix at or below ``cut`` count as
+    zero; ``index`` passes the cut a problem and its adjoint share.
     """
     M = homogeneous_constraint_matrix(P)
-    K = _kernel_coefficients(M, P.basis.total_dim, cut)
-    return [_coeffs_to_section(P.basis, P.rho, K[:, i]) for i in range(K.shape[1])]
+    return _kernel_sections(P, *_svd(M, P.basis.total_dim), cut)
 
 
-def solve_bvp(
-    P: CylinderProblem, psi: CylinderSection, compute_obstructions: bool = True
-) -> SolveResult:
-    """General solve: Phi = S_0 Psi + homogeneous part fitted to both conditions."""
+def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
+    """General solve: Phi = S_0 Psi + homogeneous part fitted to both conditions.
+
+    The kernel and obstruction bases are cut as in ``index``: against the one
+    cut that the problem and its adjoint share.
+    """
     if not psi.basis.same_modes(P.basis) or psi.rho != P.rho:
         raise BasisMismatchError("right-hand side disagrees with the problem")
     psi = psi.on_basis(P.basis)
@@ -413,9 +423,6 @@ def solve_bvp(
     if NR.size:
         rhs_parts.append(-(NR.conj().T @ xr))
     rhs = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0, dtype=complex)
-
-    K = _kernel_coefficients(M, P.basis.total_dim)
-    kernel = [_coeffs_to_section(P.basis, P.rho, K[:, i]) for i in range(K.shape[1])]
 
     residuals = {}
     particular = None
@@ -435,9 +442,12 @@ def solve_bvp(
         check = model_apply(particular, P.sigma0) - psi
         residuals["operator_residual"] = math.sqrt(max(check.l2_norm_sq(), 0.0))
 
-    obstructions = []
-    if compute_obstructions:
-        obstructions = homogeneous_kernel(adjoint_problem(P))
+    Pad = adjoint_problem(P)
+    s, vh = _svd(M, P.basis.total_dim)
+    s_ad, vh_ad = _svd(homogeneous_constraint_matrix(Pad), Pad.basis.total_dim)
+    cut = _shared_cut(s, s_ad)
+    kernel = _kernel_sections(P, s, vh, cut)
+    obstructions = _kernel_sections(Pad, s_ad, vh_ad, cut)
     return SolveResult(particular, kernel, obstructions, residuals, consistent)
 
 

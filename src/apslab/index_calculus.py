@@ -2,10 +2,11 @@
 
 Kernel and cokernel dimensions are finite linear-algebra computations because
 all boundary data is band-limited: outside the perturbation band each mode
-obeys a pure per-mode sign rule.  Two independent assembly routes are kept —
-a dense full-basis route and a banded route (sign table plus a small block on
-the touched modes).  A problem and its adjoint are rank-decided against one
-singular-value cut.
+obeys a pure per-mode sign rule.  There is one production route, the rank of
+the full-basis constraint matrices of a problem and its adjoint, decided
+against one singular-value cut that the two share.  A banded assembly (sign
+table plus a small block on the touched modes) is kept in the tests as an
+oracle for it.
 
 A certified report passes two checks.  The formula check: every condition is
 in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it
@@ -22,7 +23,6 @@ transmission g pair every mode) are solved again on the doubled lattice.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +44,7 @@ from .boundary_conditions import (
 from .cylinder_solver import (
     RANK_THRESHOLD,
     CylinderProblem,
+    _shared_cut,
     adjoint_problem,
     homogeneous_constraint_matrix,
     homogeneous_kernel,
@@ -95,35 +96,6 @@ def _rank(M: np.ndarray) -> int:
     return int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size else 0
 
 
-def dense_kernel_dim(P: CylinderProblem) -> int:
-    """Kernel dimension from the full-basis constraint matrix."""
-    return kernel_dim(P, "dense")
-
-
-def _condition_generators(cond: BoundaryCondition, touched: list) -> list:
-    """Raw (un-orthonormalized) generators of the orthocomplement of ``cond``
-    that are supported on the touched modes, as dense vectors over cond.basis."""
-    b = cond.basis
-    W = cond.w_all()
-    Gd = cond.g.dense() if not cond.g.is_zero() else None
-    gens = []
-    for mid in touched:
-        if b.eigenvalue(mid) < cond.cut:
-            continue
-        off = b.offset(mid)
-        for f in range(b.fiber_dim(mid)):
-            v = np.zeros(b.total_dim, dtype=complex)
-            v[off + f] = 1.0
-            if W.size:
-                v = v - W @ (W.conj().T @ v)
-            if Gd is not None:
-                v = v - Gd.conj().T @ v
-            gens.append(v)
-    for i in range(cond.dim_w_minus()):
-        gens.append(cond.w_minus[:, i])
-    return gens
-
-
 def _touched_modes(cond: BoundaryCondition) -> set:
     """The mode ids that carry W support or a g entry of ``cond``.
 
@@ -135,93 +107,21 @@ def _touched_modes(cond: BoundaryCondition) -> set:
     return ids | cond.g.source_ids() | cond.g.target_ids()
 
 
-def _banded_system(P: CylinderProblem) -> tuple:
-    """(free, M): the untouched modes free at both ends, and the touched-mode block.
-
-    Modes untouched by any W or g data obey pure APS rules at both ends; the
-    remaining modes form one small dense system assembled from raw generators.
-    This route shares no assembly code with the dense one.
-    """
-    basis = P.basis
-    touched = _touched_modes(P.left) | _touched_modes(P.right)
-
-    total = 0
-    for m in basis.modes:
-        if m.mode_id in touched:
-            continue
-        free_left = m.eigenvalue < P.left.cut
-        free_right = -m.eigenvalue < P.right.cut
-        if free_left and free_right:
-            total += m.fiber_dim
-
-    if not touched:
-        return total, np.zeros((0, 0), dtype=complex)
-
-    tlist = sorted(touched, key=lambda mid: basis.offset(mid))
-    pos = {}
-    n = 0
-    for mid in tlist:
-        pos[mid] = n
-        n += basis.fiber_dim(mid)
-
-    def restrict(vec: np.ndarray, b: EigenmodeBasis) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        for mid in tlist:
-            k = b.fiber_dim(mid)
-            out[pos[mid] : pos[mid] + k] = vec[b.offset(mid) : b.offset(mid) + k]
-        return out
-
-    scale0 = np.zeros(n)
-    scale_r = np.zeros(n)
-    for mid in tlist:
-        lam = basis.eigenvalue(mid)
-        if lam >= 0:
-            v0, vr = 1.0, math.exp(-lam * P.rho)
-        else:
-            v0, vr = math.exp(lam * P.rho), 1.0
-        k = basis.fiber_dim(mid)
-        scale0[pos[mid] : pos[mid] + k] = v0
-        scale_r[pos[mid] : pos[mid] + k] = vr
-
-    rows = []
-    for g in _condition_generators(P.left, tlist):
-        rows.append(np.conj(restrict(g, P.left.basis)) * scale0)
-    for g in _condition_generators(P.right, tlist):
-        rows.append(np.conj(restrict(g, P.right.basis)) * scale_r)
-    M = np.vstack(rows) if rows else np.zeros((0, n), dtype=complex)
-    return total, M
-
-
-def banded_kernel_dim(P: CylinderProblem) -> int:
-    """Kernel dimension from the per-mode sign table plus a touched-mode block."""
-    return kernel_dim(P, "banded")
-
-
-def _constraint_spectrum(P: CylinderProblem, route: str) -> tuple:
+def _constraint_spectrum(P: CylinderProblem) -> tuple:
     """(n, s) with dim ker P = n - rank: the unknowns and singular values of P's constraints."""
-    if route == "dense":
-        free, M = 0, homogeneous_constraint_matrix(P)
-    elif route == "banded":
-        free, M = _banded_system(P)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return free + M.shape[1], _singular_values(M)
+    M = homogeneous_constraint_matrix(P)
+    return M.shape[1], _singular_values(M)
 
 
-def kernel_dim(P: CylinderProblem, route: str = "dense") -> int:
-    n, s = _constraint_spectrum(P, route)
-    return n - (int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size else 0)
+def kernel_dim(P: CylinderProblem) -> int:
+    """dim ker P, decided against the cut P shares with its adjoint, as in ``index``."""
+    return index(P, certify=False).dim_ker
 
 
-def _ker_coker(P: CylinderProblem, Pad: CylinderProblem, route: str) -> tuple:
-    """(dim ker P, dim ker Pad, cut): both kernels decided against one cut.
-
-    The cut is RANK_THRESHOLD times the larger of the two largest singular
-    values.  A relative cut per matrix can keep a singular value that the two
-    share for one of them and drop it for the other.
-    """
-    (nk, sk), (nc, sc) = (_constraint_spectrum(Q, route) for Q in (P, Pad))
-    cut = RANK_THRESHOLD * max((s[0] for s in (sk, sc) if s.size), default=0.0)
+def _ker_coker(P: CylinderProblem, Pad: CylinderProblem) -> tuple:
+    """(dim ker P, dim ker Pad, cut): both kernels decided against one shared cut."""
+    (nk, sk), (nc, sc) = (_constraint_spectrum(Q) for Q in (P, Pad))
+    cut = _shared_cut(sk, sc)
     return nk - int(np.sum(sk > cut)), nc - int(np.sum(sc > cut)), cut
 
 
@@ -258,7 +158,7 @@ def _doubling_counts(P: CylinderProblem, P2: CylinderProblem) -> Optional[tuple]
     return ker, coker
 
 
-def _certify(P: CylinderProblem, route: str, dk: int, dc: int) -> None:
+def _certify(P: CylinderProblem, dk: int, dc: int) -> None:
     """The formula check, then the doubling check; raises CertificateError."""
     formula = _formula_index(P)
     if dk - dc != formula:
@@ -269,7 +169,7 @@ def _certify(P: CylinderProblem, route: str, dk: int, dc: int) -> None:
     P2 = P.on_basis(P.basis.extended(2))
     added = _doubling_counts(P, P2)
     if added is None:
-        dk2, dc2, _ = _ker_coker(P2, adjoint_problem(P2), route)
+        dk2, dc2, _ = _ker_coker(P2, adjoint_problem(P2))
     else:
         dk2, dc2 = dk + added[0], dc + added[1]
     if (dk2, dc2) != (dk, dc):
@@ -280,26 +180,24 @@ def _certify(P: CylinderProblem, route: str, dk: int, dc: int) -> None:
 
 def index(
     P: CylinderProblem,
-    route: str = "dense",
     certify: bool = True,
     with_bases: bool = False,
 ) -> IndexReport:
     """Exact index of the boundary-value problem, certified as the module docstring says.
 
-    ``doubled_agrees`` is True when the certificate ran (a failing one raises
-    CertificateError) and None without it.  The kernel and cokernel bases
-    come from the dense constraint matrices, cut like the dense route.
+    ker and coker are the nullities of the constraint matrices of P and of its
+    adjoint, both decided against the one cut the two share; the kernel and
+    cokernel bases are cut there too.  ``doubled_agrees`` is True when the
+    certificate ran (a failing one raises CertificateError) and None without it.
     """
     Pad = adjoint_problem(P)
-    dk, dc, cut = _ker_coker(P, Pad, route)
+    dk, dc, cut = _ker_coker(P, Pad)
     cert = {"N_used": P.basis.total_dim, "doubled_agrees": None}
     if certify:
-        _certify(P, route, dk, dc)
+        _certify(P, dk, dc)
         cert["doubled_agrees"] = True
     kb, cb = [], []
     if with_bases:
-        if route != "dense":
-            cut = _ker_coker(P, Pad, "dense")[2]
         kb = homogeneous_kernel(P, cut)
         cb = homogeneous_kernel(Pad, cut)
     return IndexReport(dk, dc, dk - dc, cert, kb, cb)
@@ -311,12 +209,12 @@ def _with_left(P: CylinderProblem, left: BoundaryCondition) -> CylinderProblem:
     return CylinderProblem(P.basis, P.sigma0, P.rho, left, P.right)
 
 
-def aps_shift_check(P: CylinderProblem, a: float, b: float, route: str = "dense") -> dict:
+def aps_shift_check(P: CylinderProblem, a: float, b: float) -> dict:
     """ind D_{B(b)} = ind D_{B(a)} + #{lambda in [a, b)}, three independent computations."""
     if a > b:
         raise ValueError("aps_shift_check needs a <= b")
-    ia = index(_with_left(P, make_generalized_aps(P.basis, a)), route=route)
-    ib = index(_with_left(P, make_generalized_aps(P.basis, b)), route=route)
+    ia = index(_with_left(P, make_generalized_aps(P.basis, a)))
+    ib = index(_with_left(P, make_generalized_aps(P.basis, b)))
     shift = sum(
         m.fiber_dim for m in P.basis.modes if a <= m.eigenvalue < b
     )
@@ -329,11 +227,11 @@ def aps_shift_check(P: CylinderProblem, a: float, b: float, route: str = "dense"
     }
 
 
-def graph_index_check(P: CylinderProblem, route: str = "dense") -> dict:
+def graph_index_check(P: CylinderProblem) -> dict:
     """ind D_B = ind D_{B(a)} + dim(W_+ upper) - dim(W_- lower) for graph-form left B."""
     B = P.left
-    i_b = index(P, route=route)
-    i_aps = index(_with_left(P, make_generalized_aps(P.basis, B.cut)), route=route)
+    i_b = index(P)
+    i_aps = index(_with_left(P, make_generalized_aps(P.basis, B.cut)))
     correction = B.w_plus_upper_dim() - B.w_minus_lower_dim()
     return {
         "lhs": i_b.index,
@@ -345,14 +243,14 @@ def graph_index_check(P: CylinderProblem, route: str = "dense") -> dict:
     }
 
 
-def deformation_sweep(P: CylinderProblem, steps: int = 11, route: str = "dense") -> dict:
+def deformation_sweep(P: CylinderProblem, steps: int = 11) -> dict:
     """Index along the family deform(left, s), s in [0, 1]; must be constant."""
     if steps < 2:
         raise ValueError("deformation sweep needs at least 2 steps")
     values = []
     reports = []
     for s in np.linspace(0.0, 1.0, steps):
-        rep = index(_with_left(P, deform(P.left, float(s))), route=route)
+        rep = index(_with_left(P, deform(P.left, float(s))))
         values.append(rep.index)
         reports.append(rep)
     return {
@@ -411,14 +309,13 @@ def pair_index_identity_check(
     P: CylinderProblem,
     B1: BoundaryCondition,
     B2: BoundaryCondition,
-    route: str = "dense",
 ) -> dict:
     """ind D_{B1} - ind D_{B2} = ind(closure(B1), closure(B2)^perp); refuses ||g1||*||g2|| >= 1."""
     product = B1.g.operator_norm() * B2.g.operator_norm()
     if product >= 1.0:
         raise PairHypothesisError(product)
-    i1 = index(_with_left(P, B1), route=route)
-    i2 = index(_with_left(P, B2), route=route)
+    i1 = index(_with_left(P, B1))
+    i2 = index(_with_left(P, B2))
     pair = fredholm_pair(ClosedSubspace(B1), ClosedSubspace(B2, complement=True))
     return {
         "index_1": i1.index,
@@ -433,7 +330,7 @@ def pair_index_identity_check(
 
 # -- splitting and cobordism ------------------------------------------------
 
-def split_check(P_glued: CylinderProblem, B1: BoundaryCondition, route: str = "dense") -> dict:
+def split_check(P_glued: CylinderProblem, B1: BoundaryCondition) -> dict:
     """ind(glued cylinder) = ind(left half) + ind(right half).
 
     ``B1`` is the cut condition at the midpoint, over the negated basis (so it
@@ -446,9 +343,9 @@ def split_check(P_glued: CylinderProblem, B1: BoundaryCondition, route: str = "d
     B2 = complement_condition(B1)
     left_half = CylinderProblem(P_glued.basis, P_glued.sigma0, half, P_glued.left, B1)
     right_half = CylinderProblem(P_glued.basis, P_glued.sigma0, half, B2, P_glued.right)
-    i_glued = index(P_glued, route=route)
-    i_left = index(left_half, route=route)
-    i_right = index(right_half, route=route)
+    i_glued = index(P_glued)
+    i_left = index(left_half)
+    i_right = index(right_half)
     return {
         "glued": i_glued.index,
         "left": i_left.index,
@@ -508,7 +405,7 @@ def chiral_block_basis(
 
 
 def cobordism_check(
-    basis: EigenmodeBasis, sigma0: SigmaZero, rho: float = 1.0, route: str = "dense"
+    basis: EigenmodeBasis, sigma0: SigmaZero, rho: float = 1.0
 ) -> dict:
     """Total chiral index over the two boundary circles vanishes.
 
@@ -534,8 +431,8 @@ def cobordism_check(
 
     P_plus = CylinderProblem(basis, sigma0, rho, left_plus, right_plus)
     P_minus = CylinderProblem(basis, sigma0, rho, left_minus, right_minus)
-    i_plus = index(P_plus, route=route)
-    i_minus = index(P_minus, route=route)
+    i_plus = index(P_plus)
+    i_minus = index(P_minus)
     return {
         "contribution_left": contrib_left,
         "contribution_right": contrib_right,

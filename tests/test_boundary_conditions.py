@@ -23,6 +23,7 @@ from apslab.boundary_conditions import (
     quotient_dim,
     seeded_graph_condition,
 )
+from apslab.index_calculus import chiral_block_basis
 from apslab.spectral_core import (
     BoundarySection,
     EigenmodeBasis,
@@ -288,6 +289,25 @@ class TestDeform:
         B = make_generalized_aps(fine, 0.0)
         with pytest.raises(ConditionError):
             deform(B, 1.5)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_rebuilt_on_a_doubled_lattice(self, s):
+        # the chiral rule rebuilds the condition at 2N, then s scales its g
+        def block(j):
+            return 0.0 if j == 0 else 1j * j
+
+        basis, sigma = chiral_block_basis(3, block, band_limit=2.0)
+        moved = deform(make_chiral(basis, sigma), s).on_basis(basis.extended(2))
+        fresh = deform(make_chiral(*chiral_block_basis(6, block, band_limit=2.0)), s)
+        assert moved.basis.same_modes(fresh.basis)
+        assert moved.cut == fresh.cut
+        assert fresh.dim_w_plus() + fresh.dim_w_minus() > 0
+        assert np.array_equal(moved.w_plus, fresh.w_plus)
+        assert np.array_equal(moved.w_minus, fresh.w_minus)
+        assert moved.g.entries.keys() == fresh.g.entries.keys()
+        assert len(fresh.g.entries) == (0 if s == 0.0 else 12)
+        for key, block_value in fresh.g.entries.items():
+            assert np.array_equal(moved.g.entries[key], block_value)
 
 
 class TestProjectors:

@@ -3,12 +3,15 @@
 A certified ``index()`` checks ker - coker against the index formula
 dim B_L + dim B_R - total_dim, and counts what the doubled lattice adds by the
 per-mode sign rule instead of solving it.  ``full_resolve`` solves the whole
-problem again at 2N; it is the reference those counts must equal.
+problem again at 2N; it is the reference those counts must equal.  Tests
+parametrized by ``route`` run the production ``index()`` ("dense") and the
+banded test oracle ("banded").
 """
 
 import numpy as np
 import pytest
 
+import banded_oracle
 from apslab import cylinder_solver, index_calculus
 from apslab.boundary_conditions import (
     BoundaryCondition,
@@ -18,9 +21,10 @@ from apslab.boundary_conditions import (
     make_generalized_aps,
     seeded_graph_condition,
 )
-from apslab.cylinder_solver import CylinderProblem, adjoint_problem
+from apslab.cylinder_solver import CylinderProblem, CylinderSection, adjoint_problem, solve_bvp
 from apslab.index_calculus import (
     CertificateError,
+    _certify,
     _doubling_counts,
     chiral_block_basis,
     cobordism_check,
@@ -42,18 +46,25 @@ def aps_problem(basis, a, b):
     )
 
 
+def ker_coker(P, route="dense"):
+    """(dim ker, dim coker) of P from ``index()`` or from the banded oracle."""
+    if route == "banded":
+        return banded_oracle.ker_coker(P)
+    rep = index(P, certify=False)
+    return rep.dim_ker, rep.dim_coker
+
+
 def full_resolve(P, route="dense"):
     """(dim ker, dim coker) of the whole problem rebuilt and solved on the doubled lattice."""
-    P2 = P.on_basis(P.basis.extended(2))
-    return kernel_dim(P2, route), kernel_dim(adjoint_problem(P2), route)
+    return ker_coker(P.on_basis(P.basis.extended(2)), route)
 
 
 def exact_doubled(P, route="dense"):
     """(dim ker, dim coker) on the doubled lattice from the sign-rule counts of the added modes."""
-    rep = index(P, route=route, certify=False)
+    ker, coker = ker_coker(P, route)
     added = _doubling_counts(P, P.on_basis(P.basis.extended(2)))
     assert added is not None, "the exact doubling path was not taken"
-    return rep.dim_ker + added[0], rep.dim_coker + added[1]
+    return ker + added[0], coker + added[1]
 
 
 def graph_problem(shift, rho, graph_seed, a, c, left_w, right_w):
@@ -135,14 +146,15 @@ class TestCertificateCatches:
         assert str(err.value) == f"truncation certificate failed: {message}"
 
     def test_banded_long_cylinder_miscount_fails_the_formula(self):
-        # index_fresh seed 7 round 2 slot 2 at rho=25: the banded route counts
+        # index_fresh seed 7 round 2 slot 2 at rho=25: the banded oracle counts
         # ker 4, coker 1 against the formula index 2
         P = graph_problem(
             0.18014373174994236, 25.0, 1800582554,
             -0.4278831136217871, 1.2231595559620276, (2, 1), (1, 1),
         )
+        assert banded_oracle.ker_coker(P) == (4, 1)
         with pytest.raises(CertificateError, match="index formula check failed"):
-            index(P, route="banded")
+            _certify(P, 4, 1)
         assert index(P).index == 2
 
     def test_regenerated_condition_that_moves_its_cut_is_resolved(self):
@@ -236,9 +248,21 @@ class TestSharedRankCut:
         shift, rho, graph_seed, a, c = SHORT_CYLINDERS[case]
         for r in (rho, rho / 2):
             P = graph_problem(shift, r, graph_seed, a, c, (1, 1), (1, 2))
-            rep = index(P, route=route)
-            assert rep.index == 0
-            assert rep.truncation_certificate["doubled_agrees"] is True
+            ker, coker = ker_coker(P, route)
+            assert ker - coker == 0
+            _certify(P, ker, coker)
+
+    @pytest.mark.parametrize("case", sorted(SHORT_CYLINDERS))
+    def test_solve_and_kernel_dim_agree_with_index(self, case):
+        # solve_bvp and kernel_dim once cut each matrix on its own and gave
+        # (3, 2) on seed 6 and (2, 3) on seed 7 where index() gives (3, 3)
+        shift, rho, graph_seed, a, c = SHORT_CYLINDERS[case]
+        P = graph_problem(shift, rho, graph_seed, a, c, (1, 1), (1, 2))
+        rep = index(P)
+        res = solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
+        assert (len(res.kernel_basis), len(res.obstruction_basis)) == (rep.dim_ker, rep.dim_coker)
+        assert kernel_dim(P) == rep.dim_ker
+        assert kernel_dim(adjoint_problem(P)) == rep.dim_coker
 
     def test_bases_have_the_reported_dimensions(self):
         shift, rho, graph_seed, a, c = SHORT_CYLINDERS["seed7"]

@@ -17,7 +17,6 @@ from apslab.cylinder_solver import (
     extension_apply,
     extension_bound_probe,
     greens_residual,
-    homogeneous_kernel,
     model_adjoint_apply,
     model_apply,
     ode_bound_check,
@@ -131,10 +130,15 @@ class TestRightInverse:
                 assert np.max(np.abs(vec)) < 1e-12
 
 
+def homogeneous_solve(P):
+    """solve_bvp with a zero right-hand side: the kernel and obstruction bases of P."""
+    return solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
+
+
 class TestSolveBvp:
     def test_reference_problem_has_trivial_kernel(self, basis, sigma):
         P = reference_problem(basis, sigma)
-        assert homogeneous_kernel(P) == []
+        assert homogeneous_solve(P).kernel_basis == []
 
     def test_reference_solve_meets_both_conditions(self, basis, sigma):
         P = reference_problem(basis, sigma)
@@ -149,7 +153,7 @@ class TestSolveBvp:
 
     def test_relaxed_problem_kernel_is_the_constant_zero_mode(self, basis, sigma):
         P = relaxed_problem(basis, sigma)
-        kernel = homogeneous_kernel(P)
+        kernel = homogeneous_solve(P).kernel_basis
         assert len(kernel) == 1
         k = kernel[0]
         assert set(k.profiles) == {0}
@@ -165,7 +169,7 @@ class TestSolveBvp:
             make_generalized_aps(basis, -0.5),
             make_generalized_aps(nb, -0.5),
         )
-        obstructions = homogeneous_kernel(adjoint_problem(P))
+        obstructions = homogeneous_solve(P).obstruction_basis
         assert len(obstructions) == 1
         w = obstructions[0]
         # a right-hand side with nonzero pairing against the cokernel
@@ -198,7 +202,7 @@ class TestAdjointProblem:
             make_generalized_aps(basis, -0.5),
             make_generalized_aps(nb, -0.5),
         )
-        obstructions = homogeneous_kernel(adjoint_problem(P))
+        obstructions = homogeneous_solve(P).obstruction_basis
         rng = np.random.default_rng(4)
         window = Profile.from_terms([(RHO, 1, 0.0), (-1.0, 2, 0.0)], 0.0, RHO)
         for _ in range(5):

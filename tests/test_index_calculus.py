@@ -1,10 +1,12 @@
-"""Tests for the exact index machinery: dual-route kernel counts, shift and
-graph corrections, deformation invariance, Fredholm pairs, splitting, and the
-chiral cobordism identity."""
+"""Tests for the exact index machinery: kernel and cokernel counts of the
+production route against the banded test oracle, shift and graph corrections,
+deformation invariance, Fredholm pairs, splitting, and the chiral cobordism
+identity."""
 
 import numpy as np
 import pytest
 
+import banded_oracle
 from apslab.boundary_conditions import (
     ConditionError,
     make_generalized_aps,
@@ -18,11 +20,9 @@ from apslab.index_calculus import (
     FredholmPairReport,
     PairHypothesisError,
     aps_shift_check,
-    banded_kernel_dim,
     chiral_block_basis,
     cobordism_check,
     deformation_sweep,
-    dense_kernel_dim,
     fredholm_pair,
     graph_index_check,
     index,
@@ -106,11 +106,18 @@ class TestApsOracle:
 
 
 class TestDualRoutes:
+    """The production route against the banded oracle, on ker and coker."""
+
+    @staticmethod
+    def counts(P):
+        rep = index(P, certify=False)
+        return rep.dim_ker, rep.dim_coker
+
     def test_routes_agree_on_aps_problems(self, basis):
         for a in CUTS:
             for b in CUTS:
                 P = aps_problem(basis, a, b)
-                assert banded_kernel_dim(P) == dense_kernel_dim(P)
+                assert banded_oracle.ker_coker(P) == self.counts(P)
 
     def test_routes_agree_on_seeded_graph_conditions(self, fine):
         for seed in range(15):
@@ -124,17 +131,14 @@ class TestDualRoutes:
                 g_norm=float(rng.uniform(0.0, 2.0)),
             )
             P = problem_with_left(fine, left)
-            assert banded_kernel_dim(P) == dense_kernel_dim(P)
+            assert banded_oracle.ker_coker(P) == self.counts(P)
 
     def test_index_identical_across_routes(self, fine):
         rng = np.random.default_rng(99)
         left = seeded_graph_condition(fine, rng, cut=-0.25, g_norm=1.2)
         P = problem_with_left(fine, left)
-        assert index(P, route="dense").index == index(P, route="banded").index
-
-    def test_unknown_route_rejected(self, basis):
-        with pytest.raises(ValueError, match="route"):
-            index(aps_problem(basis, 0.0, 0.5), route="mystery")
+        ker, coker = banded_oracle.ker_coker(P)
+        assert index(P).index == ker - coker
 
 
 class TestCertificate:

@@ -480,3 +480,36 @@ class TestEnergyTolerance:
         )
         rep = run(self.example(1))
         assert rep.passed
+
+
+class TestGreensTolerance:
+    """Green's identity is checked per sample against
+    1e-10 * (1 + (1 + lambda_max) * ||phi|| * ||psi||)."""
+
+    # absolute residual 1.17e-10, about 7e-17 of the compared inner products
+    REPRO = {
+        "kind": "greens",
+        "seed": 10,
+        "truncation": 128,
+        "payload": {"spectrum": {"n": 8, "band_limit": 4.0}, "rho": 2.0, "n_samples": 20},
+    }
+
+    @staticmethod
+    def bound(phi, psi):
+        lam_max = max(abs(m.eigenvalue) for m in phi.basis.modes)
+        return 1e-10 * (1.0 + (1.0 + lam_max) * math.sqrt(phi.l2_norm_sq() * psi.l2_norm_sq()))
+
+    def test_repro_passes(self):
+        rep = run(parse_scenario(self.REPRO))
+        assert rep.outputs["residual_max"] > 1e-10
+        assert rep.passed, rep.outputs
+
+    @pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+    def test_residual_against_the_bound(self, monkeypatch, factor, passed):
+        monkeypatch.setattr(
+            scenario_cli,
+            "greens_residual",
+            lambda phi, psi, sigma: factor * self.bound(phi, psi),
+        )
+        rep = run(parse_scenario({**self.REPRO, "truncation": 8}))
+        assert rep.passed is passed
