@@ -332,17 +332,18 @@ def _right_permutation(basis: EigenmodeBasis, nb: EigenmodeBasis) -> np.ndarray:
     return perm
 
 
-def homogeneous_constraint_matrix(P: CylinderProblem) -> np.ndarray:
+def homogeneous_constraint_matrix(
+    P: CylinderProblem, NL: np.ndarray, NR: np.ndarray
+) -> np.ndarray:
     """The stacked boundary constraints on normalized homogeneous coefficients.
 
     A coefficient vector c (primal dense ordering) gives the homogeneous
     solution sum_j c_j h_j(t) phi_j; the rows express membership of the
-    traces in the left and right conditions.
+    traces in the left and right conditions, whose ``perp_span_matrix``
+    spans are ``NL`` and ``NR``.
     """
     basis = P.basis
     d0, dr = _homogeneous_scales(basis, P.rho)
-    NL = P.left.perp_span_matrix()
-    NR = P.right.perp_span_matrix()
     perm = _right_permutation(basis, P.right.basis)
     rows = []
     if NL.size:
@@ -357,6 +358,10 @@ def homogeneous_constraint_matrix(P: CylinderProblem) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+
+
 def _shared_cut(*spectra: np.ndarray) -> float:
     """The one singular-value cut for the constraints of a problem and its adjoint.
 
@@ -365,14 +370,6 @@ def _shared_cut(*spectra: np.ndarray) -> float:
     problem and its adjoint share for one of them and drop it for the other.
     """
     return RANK_THRESHOLD * max((s[0] for s in spectra if s.size), default=0.0)
-
-
-def _svd(M: np.ndarray, dim: int) -> tuple:
-    """(s, vh) of M with a square vh; an empty M has no singular values and vh = I."""
-    if M.shape[0] == 0:
-        return np.zeros(0), np.eye(dim, dtype=complex)
-    _, s, vh = np.linalg.svd(M)
-    return s, vh
 
 
 def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> CylinderSection:
@@ -386,35 +383,74 @@ def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> Cyli
     return CylinderSection(basis, rho, out)
 
 
-def _kernel_sections(P: CylinderProblem, s: np.ndarray, vh: np.ndarray, cut: float) -> list:
-    """Orthonormal kernel of P: the rows of vh past the singular values above ``cut``."""
-    K = vh[int(np.sum(s > cut)) :, :].conj()
-    return [_coeffs_to_section(P.basis, P.rho, c) for c in K]
+@dataclasses.dataclass(frozen=True)
+class Assembly:
+    """The constraints of a problem and of its adjoint, whose kernel is its cokernel.
 
-
-def homogeneous_kernel(P: CylinderProblem, cut: float) -> list:
-    """All solutions of D_0 Phi = 0 meeting both boundary conditions.
-
-    Singular values of the constraint matrix at or below ``cut`` count as
-    zero; ``index`` passes the cut a problem and its adjoint share.
+    ``NL``, ``NR`` and ``M`` are the problem's spans and constraint matrix.
+    ``spectra`` and ``vh`` hold the singular values and square right singular
+    vectors of both matrices; the entries of ``vh`` are None without vectors.
     """
-    M = homogeneous_constraint_matrix(P)
-    return _kernel_sections(P, *_svd(M, P.basis.total_dim), cut)
+
+    problems: tuple  # (P, adjoint_problem(P))
+    NL: np.ndarray
+    NR: np.ndarray
+    M: np.ndarray
+    spectra: tuple
+    vh: tuple
+    cut: float
+
+    def dims(self) -> tuple:
+        """(dim ker, dim coker): the nullities of both matrices at the shared cut."""
+        return tuple(
+            Q.basis.total_dim - int(np.sum(s > self.cut))
+            for Q, s in zip(self.problems, self.spectra)
+        )
+
+    def sections(self) -> tuple:
+        """Orthonormal (kernel, cokernel) sections: the last rows of each vh, one per nullity."""
+        return tuple(
+            [_coeffs_to_section(Q.basis, Q.rho, c) for c in vh[len(vh) - d :].conj()]
+            for Q, vh, d in zip(self.problems, self.vh, self.dims())
+        )
+
+
+def _factor(Q: CylinderProblem, vectors: bool) -> tuple:
+    """(NL, NR, M, s, vh): Q's spans, constraint matrix and its SVD; vh is None without vectors."""
+    NL, NR = Q.left.perp_span_matrix(), Q.right.perp_span_matrix()
+    M = homogeneous_constraint_matrix(Q, NL, NR)
+    if not vectors:
+        return NL, NR, M, _singular_values(M), None
+    if not M.size:  # no singular values, and every coefficient is free
+        return NL, NR, M, np.zeros(0), np.eye(M.shape[1], dtype=complex)
+    return (NL, NR, M, *np.linalg.svd(M)[1:])
+
+
+def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
+    """Build and factor the constraint matrices of P and of its adjoint, once each.
+
+    Right singular vectors about double the cost of an SVD, so they are taken
+    only with ``vectors``, for the kernel and cokernel sections.  Only P's
+    spans and matrix are kept: the adjoint's are dropped before P's are built.
+    """
+    Pad = adjoint_problem(P)
+    s_ad, vh_ad = _factor(Pad, vectors)[3:]
+    NL, NR, M, s, vh = _factor(P, vectors)
+    return Assembly((P, Pad), NL, NR, M, (s, s_ad), (vh, vh_ad), _shared_cut(s, s_ad))
 
 
 def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
     """General solve: Phi = S_0 Psi + homogeneous part fitted to both conditions.
 
-    The kernel and obstruction bases are cut as in ``index``: against the one
-    cut that the problem and its adjoint share.
+    The constraints, and the kernel and obstruction bases, are read from the
+    one ``assemble`` record of P and its adjoint that ``index`` also reads.
     """
     if not psi.basis.same_modes(P.basis) or psi.rho != P.rho:
         raise BasisMismatchError("right-hand side disagrees with the problem")
     psi = psi.on_basis(P.basis)
     phi_p = s0_apply(psi, P.sigma0)
-    M = homogeneous_constraint_matrix(P)
-    NL = P.left.perp_span_matrix()
-    NR = P.right.perp_span_matrix()
+    A = assemble(P, vectors=True)
+    NL, NR, M = A.NL, A.NR, A.M
     x0 = phi_p.trace0().to_dense(P.basis)
     xr = phi_p.trace_rho().to_dense(P.right.basis)
     rhs_parts = []
@@ -442,12 +478,7 @@ def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
         check = model_apply(particular, P.sigma0) - psi
         residuals["operator_residual"] = math.sqrt(max(check.l2_norm_sq(), 0.0))
 
-    Pad = adjoint_problem(P)
-    s, vh = _svd(M, P.basis.total_dim)
-    s_ad, vh_ad = _svd(homogeneous_constraint_matrix(Pad), Pad.basis.total_dim)
-    cut = _shared_cut(s, s_ad)
-    kernel = _kernel_sections(P, s, vh, cut)
-    obstructions = _kernel_sections(Pad, s_ad, vh_ad, cut)
+    kernel, obstructions = A.sections()
     return SolveResult(particular, kernel, obstructions, residuals, consistent)
 
 

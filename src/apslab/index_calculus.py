@@ -41,14 +41,7 @@ from .boundary_conditions import (
     make_chiral,
     make_generalized_aps,
 )
-from .cylinder_solver import (
-    RANK_THRESHOLD,
-    CylinderProblem,
-    _shared_cut,
-    adjoint_problem,
-    homogeneous_constraint_matrix,
-    homogeneous_kernel,
-)
+from .cylinder_solver import RANK_THRESHOLD, CylinderProblem, _singular_values, assemble
 
 class CertificateError(RuntimeError):
     """Raised when a certified index fails the formula check or the doubling check.
@@ -87,10 +80,6 @@ class FredholmPairReport:
     index: int
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
-
-
 def _rank(M: np.ndarray) -> int:
     s = _singular_values(M)
     return int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size else 0
@@ -107,22 +96,9 @@ def _touched_modes(cond: BoundaryCondition) -> set:
     return ids | cond.g.source_ids() | cond.g.target_ids()
 
 
-def _constraint_spectrum(P: CylinderProblem) -> tuple:
-    """(n, s) with dim ker P = n - rank: the unknowns and singular values of P's constraints."""
-    M = homogeneous_constraint_matrix(P)
-    return M.shape[1], _singular_values(M)
-
-
 def kernel_dim(P: CylinderProblem) -> int:
     """dim ker P, decided against the cut P shares with its adjoint, as in ``index``."""
-    return index(P, certify=False).dim_ker
-
-
-def _ker_coker(P: CylinderProblem, Pad: CylinderProblem) -> tuple:
-    """(dim ker P, dim ker Pad, cut): both kernels decided against one shared cut."""
-    (nk, sk), (nc, sc) = (_constraint_spectrum(Q) for Q in (P, Pad))
-    cut = _shared_cut(sk, sc)
-    return nk - int(np.sum(sk > cut)), nc - int(np.sum(sc > cut)), cut
+    return assemble(P).dims()[0]
 
 
 def _formula_index(P: CylinderProblem) -> int:
@@ -169,7 +145,7 @@ def _certify(P: CylinderProblem, dk: int, dc: int) -> None:
     P2 = P.on_basis(P.basis.extended(2))
     added = _doubling_counts(P, P2)
     if added is None:
-        dk2, dc2, _ = _ker_coker(P2, adjoint_problem(P2))
+        dk2, dc2 = assemble(P2).dims()
     else:
         dk2, dc2 = dk + added[0], dc + added[1]
     if (dk2, dc2) != (dk, dc):
@@ -185,21 +161,19 @@ def index(
 ) -> IndexReport:
     """Exact index of the boundary-value problem, certified as the module docstring says.
 
-    ker and coker are the nullities of the constraint matrices of P and of its
-    adjoint, both decided against the one cut the two share; the kernel and
-    cokernel bases are cut there too.  ``doubled_agrees`` is True when the
-    certificate ran (a failing one raises CertificateError) and None without it.
+    ker and coker, and with ``with_bases`` their orthonormal bases, are read
+    from one ``assemble`` record of P and its adjoint: the nullities of their
+    constraint matrices at the one cut the two share, as ``solve_bvp`` reads
+    them.  ``doubled_agrees`` is True when the certificate ran (a failing one
+    raises CertificateError) and None without it.
     """
-    Pad = adjoint_problem(P)
-    dk, dc, cut = _ker_coker(P, Pad)
+    A = assemble(P, vectors=with_bases)
+    dk, dc = A.dims()
     cert = {"N_used": P.basis.total_dim, "doubled_agrees": None}
     if certify:
         _certify(P, dk, dc)
         cert["doubled_agrees"] = True
-    kb, cb = [], []
-    if with_bases:
-        kb = homogeneous_kernel(P, cut)
-        cb = homogeneous_kernel(Pad, cut)
+    kb, cb = A.sections() if with_bases else ([], [])
     return IndexReport(dk, dc, dk - dc, cert, kb, cb)
 
 

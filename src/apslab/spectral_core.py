@@ -43,26 +43,6 @@ class Interval:
             return False
         return True
 
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo or (self.lo == other.lo and not self.lo_closed):
-            lo, lo_closed = self.lo, self.lo_closed
-        else:
-            lo, lo_closed = other.lo, other.lo_closed
-        if self.hi < other.hi or (self.hi == other.hi and not self.hi_closed):
-            hi, hi_closed = self.hi, self.hi_closed
-        else:
-            hi, hi_closed = other.hi, other.hi_closed
-        return Interval(lo, hi, lo_closed, hi_closed)
-
-    def complement_pieces(self) -> list["Interval"]:
-        """The complement of the interval in R, as up to two intervals."""
-        pieces = []
-        if self.lo > -math.inf or not self.lo_closed:
-            pieces.append(Interval(-math.inf, self.lo, False, not self.lo_closed))
-        if self.hi < math.inf or not self.hi_closed:
-            pieces.append(Interval(self.hi, math.inf, not self.hi_closed, False))
-        return pieces
-
     @staticmethod
     def below(a: float) -> "Interval":
         """(-inf, a) — the default lower spectral half."""
@@ -153,9 +133,6 @@ class EigenmodeBasis:
 
     def offset(self, mode_id: int) -> int:
         return self._offsets[mode_id]
-
-    def modes_in(self, interval: Interval) -> list[Mode]:
-        return [m for m in self.modes if interval.contains(m.eigenvalue)]
 
     def same_modes(self, other: "EigenmodeBasis") -> bool:
         """True if the two bases share the same mode lattice (ids and fiber dims).

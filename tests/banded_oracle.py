@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from apslab.boundary_conditions import BoundaryCondition
-from apslab.cylinder_solver import CylinderProblem, _shared_cut, adjoint_problem
-from apslab.index_calculus import _singular_values, _touched_modes
+from apslab.cylinder_solver import CylinderProblem, _shared_cut, _singular_values, adjoint_problem
+from apslab.index_calculus import _touched_modes
 from apslab.spectral_core import EigenmodeBasis
 
 

@@ -54,6 +54,11 @@ def ker_coker(P, route="dense"):
     return rep.dim_ker, rep.dim_coker
 
 
+def profile_terms(sec):
+    """Every profile coefficient of a section, mode by mode, for exact comparison."""
+    return {mid: [(p.breaks, p.pieces) for p in profs] for mid, profs in sec.profiles.items()}
+
+
 def full_resolve(P, route="dense"):
     """(dim ker, dim coker) of the whole problem rebuilt and solved on the doubled lattice."""
     return ker_coker(P.on_basis(P.basis.extended(2)), route)
@@ -181,9 +186,9 @@ class TestCertificateCatches:
         P2 = P.on_basis(P.basis.extended(2))
         assert _doubling_counts(P, P2) is None
         calls = []
-        real = index_calculus.adjoint_problem
+        real = cylinder_solver.adjoint_problem
         monkeypatch.setattr(
-            index_calculus, "adjoint_problem", lambda Q: calls.append(Q.basis.total_dim) or real(Q)
+            cylinder_solver, "adjoint_problem", lambda Q: calls.append(Q.basis.total_dim) or real(Q)
         )
         rep = cobordism_check(basis, sigma)
         assert rep["pass"], rep
@@ -194,40 +199,71 @@ class TestCertificateCatches:
 
 
 class TestCertificateWork:
-    """A certified APS or graph index() takes no rank at 2N."""
+    """A certified APS or graph index() takes no rank at 2N, and every reader
+    of a problem's constraints builds and factors each matrix once."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"matrices": [], "adjoints": 0}
-        build = index_calculus.homogeneous_constraint_matrix
-        adjoint = index_calculus.adjoint_problem
+        calls = {"matrices": [], "adjoints": 0, "perp_spans": 0, "svds": 0}
+        build = cylinder_solver.homogeneous_constraint_matrix
 
-        def count_matrix(P):
-            M = build(P)
+        def count_matrix(P, NL, NR):
+            M = build(P, NL, NR)
             calls["matrices"].append((P.basis.total_dim, M.shape[1]))
             return M
 
-        def count_adjoint(P):
-            calls["adjoints"] += 1
-            return adjoint(P)
+        def count(key, fn):
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(index_calculus, "homogeneous_constraint_matrix", count_matrix)
-        monkeypatch.setattr(index_calculus, "adjoint_problem", count_adjoint)
+            return counting
+
+        monkeypatch.setattr(cylinder_solver, "homogeneous_constraint_matrix", count_matrix)
+        monkeypatch.setattr(
+            cylinder_solver, "adjoint_problem", count("adjoints", cylinder_solver.adjoint_problem)
+        )
+        monkeypatch.setattr(
+            BoundaryCondition,
+            "perp_span_matrix",
+            count("perp_spans", BoundaryCondition.perp_span_matrix),
+        )
+        monkeypatch.setattr(np.linalg, "svd", count("svds", np.linalg.svd))
         return calls
+
+    @staticmethod
+    def once(D):
+        """The work of one assembly of a problem and its adjoint on D coordinates."""
+        return {"matrices": [(D, D), (D, D)], "adjoints": 1, "perp_spans": 4, "svds": 2}
 
     def test_aps_problem(self, counted):
         basis = EigenmodeBasis.lattice(8, band_limit=4.0)
         rep = index(aps_problem(basis, 0.5, basis.negated().cut_above(0.0)))
         assert rep.truncation_certificate["doubled_agrees"] is True
-        D = basis.total_dim
-        assert counted == {"matrices": [(D, D), (D, D)], "adjoints": 1}
+        assert counted == self.once(basis.total_dim)
 
     def test_graph_problem(self, counted):
         P = graph_problem(0.1, 1.5, 12345, -0.5, 1.4, (1, 1), (1, 2))
         rep = index(P)
         assert rep.truncation_certificate["doubled_agrees"] is True
-        D = P.basis.total_dim
-        assert counted == {"matrices": [(D, D), (D, D)], "adjoints": 1}
+        assert counted == self.once(P.basis.total_dim)
+
+    def test_bases_reuse_the_counting_factorization(self, counted):
+        # with_bases once built and factored both matrices a second time for
+        # the vectors: 4 matrices, 8 perp_span_matrix calls and 4 SVDs
+        basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+        P = aps_problem(basis, 0.5, basis.negated().cut_above(0.0))
+        index(P, certify=False, with_bases=True)
+        assert counted == self.once(basis.total_dim)
+
+    def test_solve_builds_each_span_once(self, counted):
+        # solve_bvp once built the problem's two spans again for its
+        # right-hand side: 6 perp_span_matrix calls
+        basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+        P = aps_problem(basis, 0.5, basis.negated().cut_above(0.0))
+        res = solve_bvp(P, CylinderSection.zero(basis, P.rho))
+        assert res.consistent
+        assert counted == self.once(basis.total_dim)
 
 
 # index_fresh seeds 6 and 7 (round 5 and round 9, slot 0): a singular value of
@@ -263,6 +299,14 @@ class TestSharedRankCut:
         assert (len(res.kernel_basis), len(res.obstruction_basis)) == (rep.dim_ker, rep.dim_coker)
         assert kernel_dim(P) == rep.dim_ker
         assert kernel_dim(adjoint_problem(P)) == rep.dim_coker
+        # the bases of index() and of solve_bvp are read from one factorization
+        bases = index(P, certify=False, with_bases=True)
+        assert (len(bases.kernel_basis), len(bases.cokernel_basis)) == (rep.dim_ker, rep.dim_coker)
+        for listed, solved in (
+            (bases.kernel_basis, res.kernel_basis),
+            (bases.cokernel_basis, res.obstruction_basis),
+        ):
+            assert [profile_terms(sec) for sec in listed] == [profile_terms(sec) for sec in solved]
 
     def test_bases_have_the_reported_dimensions(self):
         shift, rho, graph_seed, a, c = SHORT_CYLINDERS["seed7"]

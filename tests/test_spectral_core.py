@@ -52,18 +52,6 @@ class TestInterval:
         assert not Interval.below(0.0).contains(0.0)
         assert Interval.at_least(0.0).contains(0.0)
 
-    def test_intersect(self):
-        i = Interval.below(1.0).intersect(Interval.at_least(0.0))
-        assert i.contains(0.0) and i.contains(0.5) and not i.contains(1.0)
-
-    def test_complement_pieces_cover(self):
-        i = Interval(0.0, 1.0, True, False)
-        pieces = i.complement_pieces()
-        for x in (-0.5, 0.0, 0.5, 1.0, 1.5):
-            inside = i.contains(x)
-            in_complement = any(p.contains(x) for p in pieces)
-            assert inside != in_complement
-
 
 class TestEigenmodeBasis:
     def test_lattice_spectrum(self, basis):
