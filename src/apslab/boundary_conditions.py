@@ -143,23 +143,49 @@ class ModeMap:
         return ModeMap(basis, self.entries, self.tag)
 
 
+def _coupled_block(M: np.ndarray) -> tuple:
+    """(cols, rows): masks of the columns of M that share a nonzero row with
+    another column, and of the rows those columns touch.
+
+    Every other column is alone on its nonzero rows, so it is orthogonal to
+    all the rest and factors on its own, in closed form.  The split is read
+    from the sparsity pattern only, never from the values, so problems of one
+    shape take the same factorizations whatever their data.
+    """
+    nz = M != 0
+    cols = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
+    return cols, nz[:, cols].any(axis=1)
+
+
 def _orthonormalize(parts: list, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of ``parts``, via pivoted QR; deterministic.
+    """Orthonormal basis (columns) of the span of ``parts``; deterministic.
 
     ``parts`` holds dense vectors and column blocks; empty blocks are skipped.
+    A column alone on its rows is normalized as it stands; the coupled block
+    goes through a pivoted QR restricted to the rows it touches.  A column is
+    kept when its norm, or its diagonal entry of R, exceeds ``tol`` times the
+    largest column norm, the first diagonal entry of a pivoted QR of all of
+    them.  The uncoupled columns come first, in input order.
     """
     parts = [p for p in parts if p.size]
     if not parts:
         return np.zeros((0, 0), dtype=complex)
     M = np.column_stack(parts)
-    q, r, _ = sla.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > tol * max(diag[0], 1e-300))) if diag.size else 0
-    q = q[:, :rank].copy()
-    # chop Householder round-off in rows that are zero in every input vector,
-    # so sparse mode support survives the orthonormalization exactly
-    dead = ~np.any(M != 0, axis=1)
-    q[dead, :] = 0
+    cols, rows = _coupled_block(M)
+    lone = M[:, ~cols]
+    norms = np.linalg.norm(lone, axis=0)
+    diag = np.zeros(0)
+    if cols.any():
+        qb, r, _ = sla.qr(M[np.ix_(rows, cols)], mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+    floor = tol * max(norms.max(initial=0.0), diag.max(initial=0.0), 1e-300)
+    keep = norms > floor
+    k, rank = int(keep.sum()), int(np.sum(diag > floor))
+    q = np.zeros((M.shape[0], k + rank), dtype=complex)
+    q[:, :k] = lone[:, keep] / norms[keep]
+    if rank:
+        q[rows, k:] = qb[:, :rank]
+    # chop Householder round-off, so sparse mode support survives exactly
     q[np.abs(q) < 1e-14] = 0
     return q
 

@@ -23,7 +23,7 @@ from .spectral_core import (
     SigmaZero,
     check_norm,
 )
-from .boundary_conditions import AdjointCondition, BoundaryCondition, adjoint
+from .boundary_conditions import AdjointCondition, BoundaryCondition, _coupled_block, adjoint
 
 RANK_THRESHOLD = 1e-9  # relative singular-value cutoff for rank decisions
 CONSISTENCY_TOL = 1e-9
@@ -233,6 +233,18 @@ def extension_apply(phi: BoundarySection, r: float, rho: float) -> CylinderSecti
     return CylinderSection(phi.basis, rho, out)
 
 
+def _mode_positions(basis: EigenmodeBasis, other: EigenmodeBasis) -> np.ndarray:
+    """Index array p with other.modes[p[i]] the mode of basis.modes[i], on one lattice."""
+    p = np.empty(len(basis.modes), dtype=int)
+    p[np.argsort(basis.mode_ids)] = np.argsort(other.mode_ids)
+    return p
+
+
+def _mode_eigenvalues(other: EigenmodeBasis, basis: EigenmodeBasis) -> np.ndarray:
+    """The eigenvalues that ``other`` gives the modes of ``basis``, in basis order."""
+    return other.coord_eigenvalue[other.mode_offsets[_mode_positions(basis, other)]]
+
+
 @dataclasses.dataclass
 class CylinderProblem:
     """The model operator on [0, rho] with boundary conditions at both ends.
@@ -253,16 +265,15 @@ class CylinderProblem:
         if not self.sigma0.basis.same_modes(self.basis):
             raise BasisMismatchError("sigma_0 disagrees with the problem basis")
         self.sigma0 = self.sigma0.on_basis(self.basis)
+        lam = self.basis.coord_eigenvalue[self.basis.mode_offsets]
         if not self.left.basis.same_modes(self.basis):
             raise BasisMismatchError("left condition disagrees with the problem basis")
-        for m in self.basis.modes:
-            if abs(self.left.basis.eigenvalue(m.mode_id) - m.eigenvalue) > 1e-12:
-                raise SolverError("left condition must be expressed over A")
+        if np.any(np.abs(_mode_eigenvalues(self.left.basis, self.basis) - lam) > 1e-12):
+            raise SolverError("left condition must be expressed over A")
         if not self.right.basis.same_modes(self.basis):
             raise BasisMismatchError("right condition disagrees with the problem basis")
-        for m in self.basis.modes:
-            if abs(self.right.basis.eigenvalue(m.mode_id) + m.eigenvalue) > 1e-12:
-                raise SolverError("right condition must be expressed over -A")
+        if np.any(np.abs(_mode_eigenvalues(self.right.basis, self.basis) + lam) > 1e-12):
+            raise SolverError("right condition must be expressed over -A")
 
     def on_basis(self, basis: EigenmodeBasis) -> "CylinderProblem":
         """Regenerate the whole problem over an extending basis.
@@ -324,11 +335,11 @@ def _homogeneous_scales(basis: EigenmodeBasis, rho: float) -> tuple:
 
 def _right_permutation(basis: EigenmodeBasis, nb: EigenmodeBasis) -> np.ndarray:
     """Index array p with x_nb = x_basis[p] for dense vectors over the two orderings."""
-    perm = np.zeros(basis.total_dim, dtype=int)
-    for m in basis.modes:
-        src = basis.offset(m.mode_id)
-        dst = nb.offset(m.mode_id)
-        perm[dst : dst + m.fiber_dim] = np.arange(src, src + m.fiber_dim)
+    src = np.arange(basis.total_dim)
+    pos = basis.coord_mode
+    dst = nb.mode_offsets[_mode_positions(basis, nb)][pos] + src - basis.mode_offsets[pos]
+    perm = np.empty(basis.total_dim, dtype=int)
+    perm[dst] = src
     return perm
 
 
@@ -358,8 +369,37 @@ def homogeneous_constraint_matrix(
     return np.vstack(rows)
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+def _svd(M: np.ndarray, vectors: bool = False) -> tuple:
+    """(s, vh): the singular values of M in descending order and, with
+    ``vectors``, a square vh whose rows are the matching right singular vectors.
+
+    A column alone on its nonzero rows (see ``_coupled_block``) has its norm as
+    a singular value and a unit vector as its right singular vector.  Only the
+    coupled columns, on the rows they touch, go through ``np.linalg.svd``;
+    a block-diagonal matrix has the union of its blocks' spectra.  ``s`` has
+    min(M.shape) entries, as a dense SVD gives; without ``vectors``, vh is None.
+    """
+    m, n = M.shape
+    cols, rows = _coupled_block(M)
+    lone, block = np.flatnonzero(~cols), np.flatnonzero(cols)
+    values = [np.linalg.norm(M[:, lone], axis=0)]
+    if block.size:
+        B = M[np.ix_(rows, cols)]
+        if vectors:
+            _, sb, vhb = np.linalg.svd(B)
+        else:
+            sb = np.linalg.svd(B, compute_uv=False)
+        values += [sb, np.zeros(block.size - sb.size)]
+    values = np.concatenate(values)
+    order = np.argsort(-values, kind="stable")
+    s = values[order][: min(m, n)]
+    if not vectors:
+        return s, None
+    vh = np.zeros((n, n), dtype=complex)
+    vh[np.arange(lone.size), lone] = 1.0
+    if block.size:
+        vh[lone.size :, block] = vhb
+    return s, vh[order]
 
 
 def _shared_cut(*spectra: np.ndarray) -> float:
@@ -416,22 +456,25 @@ class Assembly:
 
 
 def _factor(Q: CylinderProblem, vectors: bool) -> tuple:
-    """(NL, NR, M, s, vh): Q's spans, constraint matrix and its SVD; vh is None without vectors."""
+    """(NL, NR, M, s, vh): Q's spans, constraint matrix and its ``_svd``.
+
+    A mode that neither condition's W data nor g touch gives a column alone on
+    its rows, so only the touched coordinates reach a dense SVD.
+    """
     NL, NR = Q.left.perp_span_matrix(), Q.right.perp_span_matrix()
     M = homogeneous_constraint_matrix(Q, NL, NR)
-    if not vectors:
-        return NL, NR, M, _singular_values(M), None
-    if not M.size:  # no singular values, and every coefficient is free
-        return NL, NR, M, np.zeros(0), np.eye(M.shape[1], dtype=complex)
-    return (NL, NR, M, *np.linalg.svd(M)[1:])
+    return (NL, NR, M, *_svd(M, vectors))
 
 
 def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
     """Build and factor the constraint matrices of P and of its adjoint, once each.
 
-    Right singular vectors about double the cost of an SVD, so they are taken
-    only with ``vectors``, for the kernel and cokernel sections.  Only P's
-    spans and matrix are kept: the adjoint's are dropped before P's are built.
+    Each factorization splits as ``_svd`` says: untouched modes take their
+    singular values in closed form, and the coupled block on the touched
+    coordinates takes one dense SVD, so an APS problem takes none.  Right
+    singular vectors are taken only with ``vectors``, for the kernel and
+    cokernel sections; without them no square vh is allocated.  Only P's spans
+    and matrix are kept: the adjoint's are dropped before P's are built.
     """
     Pad = adjoint_problem(P)
     s_ad, vh_ad = _factor(Pad, vectors)[3:]

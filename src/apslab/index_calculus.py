@@ -4,9 +4,11 @@ Kernel and cokernel dimensions are finite linear-algebra computations because
 all boundary data is band-limited: outside the perturbation band each mode
 obeys a pure per-mode sign rule.  There is one production route, the rank of
 the full-basis constraint matrices of a problem and its adjoint, decided
-against one singular-value cut that the two share.  A banded assembly (sign
-table plus a small block on the touched modes) is kept in the tests as an
-oracle for it.
+against one singular-value cut that the two share.  The factorization splits
+by sparsity: a column alone on its rows (a mode no W data or g touch) has its
+norm as its singular value, and only the coupled block, on the touched
+coordinates, takes a dense SVD.  A banded assembly (sign table plus a small
+block on the touched modes) is kept in the tests as an oracle for it.
 
 A certified report passes two checks.  The formula check: every condition is
 in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it
@@ -41,7 +43,7 @@ from .boundary_conditions import (
     make_chiral,
     make_generalized_aps,
 )
-from .cylinder_solver import RANK_THRESHOLD, CylinderProblem, _singular_values, assemble
+from .cylinder_solver import RANK_THRESHOLD, CylinderProblem, _svd, assemble
 
 class CertificateError(RuntimeError):
     """Raised when a certified index fails the formula check or the doubling check.
@@ -81,7 +83,7 @@ class FredholmPairReport:
 
 
 def _rank(M: np.ndarray) -> int:
-    s = _singular_values(M)
+    s = _svd(M)[0]
     return int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size else 0
 
 

@@ -79,8 +79,9 @@ class EigenmodeBasis:
     other.  Two read-only arrays of length ``total_dim``, built once per basis,
     describe those coordinates: ``coord_mode[i]`` is the position in ``modes``
     of the mode that coordinate i belongs to, and ``coord_eigenvalue[i]`` is
-    that mode's eigenvalue.  Dense-vector code uses them instead of walking
-    the modes.
+    that mode's eigenvalue.  Two more, one entry per mode in the order of
+    ``modes``, hold ``mode_ids`` and ``mode_offsets``.  Dense-vector code uses
+    them instead of walking the modes.
     """
 
     def __init__(
@@ -115,8 +116,10 @@ class EigenmodeBasis:
         fibers = [m.fiber_dim for m in self.modes]
         self.coord_mode = np.repeat(np.arange(len(self.modes)), fibers)
         self.coord_eigenvalue = np.repeat([float(m.eigenvalue) for m in self.modes], fibers)
-        self.coord_mode.flags.writeable = False
-        self.coord_eigenvalue.flags.writeable = False
+        self.mode_ids = np.array(ids)
+        self.mode_offsets = np.array(list(offsets.values()), dtype=int)
+        for arr in (self.coord_mode, self.coord_eigenvalue, self.mode_ids, self.mode_offsets):
+            arr.flags.writeable = False
         self.components = tuple(sorted({m.component_id for m in self.modes}))
 
     def mode(self, mode_id: int) -> Mode:
@@ -434,6 +437,32 @@ class SigmaZero:
             raise ValueError(f"sigma_0^* != -sigma_0 at mode {ids[i]}")
 
     @staticmethod
+    def _derived(
+        basis: EigenmodeBasis,
+        blocks: dict,
+        targets: dict,
+        scale: float,
+        skew_unitary: bool,
+        extend_fn=None,
+    ) -> "SigmaZero":
+        """A sigma_0 whose blocks a validated one gives, up to sign or adjoint.
+
+        ``on_basis``, ``negated_boundary`` and ``adjoint_sigma`` keep the mode
+        lattice, the conformal scale and skew-unitarity, so the checks of
+        ``__init__`` would only repeat.  This copies the dicts in basis order,
+        as ``__init__`` stores them, and checks nothing.
+        """
+        out = object.__new__(SigmaZero)
+        out.basis = basis
+        out.extend_fn = extend_fn
+        out.targets = {m.mode_id: targets[m.mode_id] for m in basis.modes}
+        out.sources = {t: s for s, t in out.targets.items()}
+        out.blocks = {m.mode_id: blocks[m.mode_id] for m in basis.modes}
+        out.scale = scale
+        out.skew_unitary = skew_unitary
+        return out
+
+    @staticmethod
     def scalar(basis: EigenmodeBasis, value: complex) -> "SigmaZero":
         blocks = {m.mode_id: value * np.eye(m.fiber_dim) for m in basis.modes}
         skew = abs(value * np.conj(value) - 1.0) < IDENTITY_TOL and abs(value.real) < IDENTITY_TOL
@@ -505,21 +534,17 @@ class SigmaZero:
 
     def adjoint_sigma(self) -> "SigmaZero":
         """-sigma_0^*, the boundary symbol of the adjoint model operator."""
-        basis = self.adjoint_basis()
-        blocks = {m: -self.blocks[self.tau_inv(m)].conj().T for m in self.targets}
-        targets = {m: self.tau_inv(m) for m in self.targets}
-        return SigmaZero(basis, blocks, targets=targets, skew_unitary=self.skew_unitary)
+        blocks = {m: -self.blocks[s].conj().T for m, s in self.sources.items()}
+        return SigmaZero._derived(
+            self.adjoint_basis(), blocks, self.sources, self.scale, self.skew_unitary
+        )
 
     def on_basis(self, basis: EigenmodeBasis) -> "SigmaZero":
         """The same coefficient-level map, reinterpreted over another lattice-equal basis."""
         if not self.basis.same_modes(basis):
             raise BasisMismatchError("sigma_0 cannot move to a different mode lattice")
-        return SigmaZero(
-            basis,
-            self.blocks,
-            targets=self.targets,
-            skew_unitary=self.skew_unitary,
-            extend_fn=self.extend_fn,
+        return SigmaZero._derived(
+            basis, self.blocks, self.targets, self.scale, self.skew_unitary, self.extend_fn
         )
 
     def negated_boundary(self) -> "SigmaZero":
@@ -532,9 +557,7 @@ class SigmaZero:
             return parent.on_lattice(new_nb.negated()).negated_boundary().on_basis(new_nb)
 
         extf = ext if self.extend_fn is not None else None
-        return SigmaZero(
-            nb, blocks, targets=self.targets, skew_unitary=self.skew_unitary, extend_fn=extf
-        )
+        return SigmaZero._derived(nb, blocks, self.targets, self.scale, self.skew_unitary, extf)
 
     def on_lattice(self, basis: EigenmodeBasis) -> "SigmaZero":
         """Move to a lattice-equal basis, or regenerate on an extended one."""

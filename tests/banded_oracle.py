@@ -1,7 +1,8 @@
 """A second index assembly, kept as a test oracle for the production route.
 
 ``index()`` ranks the full-basis constraint matrices of a problem and its
-adjoint.  This oracle shares no assembly code with it: modes untouched by any
+adjoint.  This oracle shares no assembly or factorization code with it (its
+singular values come straight from ``np.linalg.svd``): modes untouched by any
 W or g data are counted by the per-mode sign rule, and only the touched modes
 enter a small dense block built from raw (un-orthonormalized) generators.
 ``ker_coker`` decides both kernels against the cut a problem and its adjoint
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from apslab.boundary_conditions import BoundaryCondition
-from apslab.cylinder_solver import CylinderProblem, _shared_cut, _singular_values, adjoint_problem
+from apslab.cylinder_solver import CylinderProblem, _shared_cut, adjoint_problem
 from apslab.index_calculus import _touched_modes
 from apslab.spectral_core import EigenmodeBasis
 
@@ -104,6 +105,7 @@ def ker_coker(P: CylinderProblem) -> tuple:
     spectra = []
     for Q in (P, adjoint_problem(P)):
         free, M = _banded_system(Q)
-        spectra.append((free + M.shape[1], _singular_values(M)))
+        s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+        spectra.append((free + M.shape[1], s))
     cut = _shared_cut(*(s for _, s in spectra))
     return tuple(n - int(np.sum(s > cut)) for n, s in spectra)

@@ -200,17 +200,24 @@ class TestCertificateCatches:
 
 class TestCertificateWork:
     """A certified APS or graph index() takes no rank at 2N, and every reader
-    of a problem's constraints builds and factors each matrix once."""
+    of a problem's constraints builds and factors each matrix once.  Only the
+    coordinates that W data or g touch reach a dense SVD, so an APS problem
+    takes none and a graph problem one per matrix, on the touched block."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"matrices": [], "adjoints": 0, "perp_spans": 0, "svds": 0}
+        calls = {"matrices": [], "adjoints": 0, "perp_spans": 0, "svd_widths": []}
         build = cylinder_solver.homogeneous_constraint_matrix
+        svd = np.linalg.svd
 
         def count_matrix(P, NL, NR):
             M = build(P, NL, NR)
             calls["matrices"].append((P.basis.total_dim, M.shape[1]))
             return M
+
+        def count_svd(M, *args, **kwargs):
+            calls["svd_widths"].append(M.shape[1])
+            return svd(M, *args, **kwargs)
 
         def count(key, fn):
             def counting(*args, **kwargs):
@@ -228,13 +235,18 @@ class TestCertificateWork:
             "perp_span_matrix",
             count("perp_spans", BoundaryCondition.perp_span_matrix),
         )
-        monkeypatch.setattr(np.linalg, "svd", count("svds", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "svd", count_svd)
         return calls
 
     @staticmethod
-    def once(D):
+    def once(D, svd_widths=()):
         """The work of one assembly of a problem and its adjoint on D coordinates."""
-        return {"matrices": [(D, D), (D, D)], "adjoints": 1, "perp_spans": 4, "svds": 2}
+        return {
+            "matrices": [(D, D), (D, D)],
+            "adjoints": 1,
+            "perp_spans": 4,
+            "svd_widths": list(svd_widths),
+        }
 
     def test_aps_problem(self, counted):
         basis = EigenmodeBasis.lattice(8, band_limit=4.0)
@@ -246,7 +258,11 @@ class TestCertificateWork:
         P = graph_problem(0.1, 1.5, 12345, -0.5, 1.4, (1, 1), (1, 2))
         rep = index(P)
         assert rep.truncation_certificate["doubled_agrees"] is True
-        assert counted == self.once(P.basis.total_dim)
+        widths = counted["svd_widths"]
+        assert counted == self.once(P.basis.total_dim, widths)
+        touched = index_calculus._touched_modes(P.left) | index_calculus._touched_modes(P.right)
+        assert len(widths) == 2
+        assert 0 < max(widths) <= sum(P.basis.fiber_dim(mid) for mid in touched) < 20
 
     def test_bases_reuse_the_counting_factorization(self, counted):
         # with_bases once built and factored both matrices a second time for

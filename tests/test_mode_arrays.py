@@ -20,6 +20,7 @@ from apslab.boundary_conditions import (
     make_transmission,
     seeded_graph_condition,
 )
+from apslab.cylinder_solver import CylinderProblem, SolverError, _right_permutation
 from apslab.index_calculus import chiral_block_basis
 from apslab.spectral_core import (
     IDENTITY_TOL,
@@ -403,3 +404,121 @@ def test_valid_sigmas_keep_their_scale():
     assert csigma.skew_unitary and csigma.scale == 1.0
     assert csigma.adjoint_sigma().skew_unitary
     assert csigma.negated_boundary().basis.same_modes(cb)
+
+
+# -- sigma_0 forms derived without re-validation -----------------------------------
+
+def unitary_sigma(basis, rng):
+    """A non-scalar sigma_0: random unitary blocks times 1.7, with one swapped pair of modes."""
+    by_fiber = {}
+    for m in basis.modes:
+        by_fiber.setdefault(m.fiber_dim, []).append(m.mode_id)
+    a, b = next(ids for ids in by_fiber.values() if len(ids) >= 2)[:2]
+    blocks = {}
+    for m in basis.modes:
+        k = m.fiber_dim
+        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        blocks[m.mode_id] = 1.7 * np.linalg.qr(z)[0]
+    return SigmaZero(basis, blocks, targets={a: b, b: a})
+
+
+SIGMAS = {
+    "lattice": lambda: SigmaZero.scalar(EigenmodeBasis.lattice(6, shift=0.3, band_limit=3.0), 1j),
+    "mixed_fiber": lambda: unitary_sigma(mixed_basis(), np.random.default_rng(31)),
+    "chiral": lambda: chiral_basis()[1],
+}
+
+
+def validated_forms(s):
+    """Each derived form of ``s``, rebuilt through the checking constructor."""
+    b2 = s.basis.negated()
+    return {
+        "on_basis": (
+            s.on_basis(b2),
+            SigmaZero(b2, s.blocks, targets=s.targets, skew_unitary=s.skew_unitary),
+        ),
+        "negated_boundary": (
+            s.negated_boundary(),
+            SigmaZero(
+                s.basis.negated(),
+                {j: -S for j, S in s.blocks.items()},
+                targets=s.targets,
+                skew_unitary=s.skew_unitary,
+            ),
+        ),
+        "adjoint_sigma": (
+            s.adjoint_sigma(),
+            SigmaZero(
+                s.adjoint_basis(),
+                {m: -s.blocks[s.tau_inv(m)].conj().T for m in s.targets},
+                targets={m: s.tau_inv(m) for m in s.targets},
+                skew_unitary=s.skew_unitary,
+            ),
+        ),
+    }
+
+
+@pytest.mark.parametrize("form", ["on_basis", "negated_boundary", "adjoint_sigma"])
+@pytest.mark.parametrize("name", sorted(SIGMAS))
+def test_derived_sigma_equals_a_validated_one(name, form):
+    s = SIGMAS[name]()
+    for base in (s, s.negated_boundary(), s.adjoint_sigma()):
+        got, want = validated_forms(base)[form]
+        assert got.basis.modes == want.basis.modes
+        assert list(got.blocks) == list(want.blocks) == [m.mode_id for m in got.basis.modes]
+        assert all(np.array_equal(got.blocks[j], want.blocks[j]) for j in got.blocks)
+        assert list(got.targets.items()) == list(want.targets.items())
+        assert got.sources == want.sources
+        # a validated sigma_0 reads its scale off the first block in basis
+        # order; a derived one keeps its parent's
+        assert got.scale == pytest.approx(want.scale, rel=1e-15, abs=0)
+        assert got.skew_unitary is want.skew_unitary
+
+
+def test_derived_sigma_keeps_the_lattice_guard():
+    s = SIGMAS["mixed_fiber"]()
+    with pytest.raises(ValueError, match="different mode lattice"):
+        s.on_basis(EigenmodeBasis.lattice(6, band_limit=3.0))
+
+
+# -- CylinderProblem's permutation and eigenvalue checks ------------------------------
+
+def reference_right_permutation(basis, nb):
+    perm = np.zeros(basis.total_dim, dtype=int)
+    for m in basis.modes:
+        src, dst = basis.offset(m.mode_id), nb.offset(m.mode_id)
+        perm[dst : dst + m.fiber_dim] = np.arange(src, src + m.fiber_dim)
+    return perm
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_right_permutation_matches_the_mode_loop(name):
+    basis = BASES[name]()
+    rng = np.random.default_rng(8)
+    shuffled = basis.with_eigenvalues({m.mode_id: float(rng.uniform(-9, 9)) for m in basis.modes})
+    for other in (basis, basis.negated(), shuffled):
+        got = _right_permutation(basis, other)
+        assert got.dtype == reference_right_permutation(basis, other).dtype
+        assert np.array_equal(got, reference_right_permutation(basis, other))
+
+
+def test_problem_checks_each_end_against_its_operator():
+    basis = mixed_basis()
+    nb = basis.negated()
+    sigma = SigmaZero.scalar(basis, 1j)
+    left, right = make_generalized_aps(basis, 0.05), make_generalized_aps(nb, 0.05)
+    CylinderProblem(basis, sigma, 1.0, left, right)
+    last = basis.modes[-1].mode_id
+
+    def nudged(b, eps):
+        return b.with_eigenvalues({m.mode_id: m.eigenvalue + eps * (m.mode_id == last)
+                                   for m in b.modes})
+
+    CylinderProblem(basis, sigma, 1.0, make_generalized_aps(nudged(basis, 5e-13), 0.05), right)
+    CylinderProblem(basis, sigma, 1.0, left, make_generalized_aps(nudged(nb, 5e-13), 0.05))
+    with pytest.raises(SolverError, match="left condition must be expressed over A"):
+        CylinderProblem(basis, sigma, 1.0, make_generalized_aps(nudged(basis, 2e-12), 0.05), right)
+    with pytest.raises(SolverError, match="right condition must be expressed over -A"):
+        CylinderProblem(basis, sigma, 1.0, left, make_generalized_aps(nudged(nb, 2e-12), 0.05))
+    with pytest.raises(SolverError, match="left condition must be expressed over A"):
+        CylinderProblem(basis, sigma, 1.0, make_generalized_aps(nb, 0.05), right)

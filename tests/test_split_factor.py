@@ -1,0 +1,240 @@
+"""The split factorization against dense LAPACK on the whole matrix.
+
+``cylinder_solver._svd`` gives a column alone on its nonzero rows its norm as
+a singular value and sends only the coupled columns, on the rows they touch,
+through ``np.linalg.svd``; ``boundary_conditions._orthonormalize`` normalizes
+such columns in place and runs its pivoted QR on the coupled block.  Here both
+are checked against one dense factorization of the whole matrix: on seeded
+matrices built from lone columns (down to 1e-30), zero columns and a coupled
+block, permuted, with fewer or more rows than columns; and on the constraint
+matrices that ``assemble`` factors for APS, graph, chiral and transmission
+problems.
+"""
+
+import numpy as np
+import pytest
+from scipy import linalg as sla
+
+from apslab.boundary_conditions import (
+    RANK_TOL,
+    _orthonormalize,
+    make_chiral,
+    make_generalized_aps,
+    make_transmission,
+    seeded_graph_condition,
+)
+from apslab.cylinder_solver import (
+    RANK_THRESHOLD,
+    CylinderProblem,
+    _svd,
+    assemble,
+    homogeneous_constraint_matrix,
+)
+from apslab.index_calculus import chiral_block_basis
+from apslab.spectral_core import EigenmodeBasis, SigmaZero
+
+LONE_SCALES = (1e-30, 1e-15, 1e-3, 1.0, 7.0)
+
+
+def split_matrix(rng, n_lone, n_zero, block_shape, extra_rows=0, lone_scales=LONE_SCALES):
+    """A permuted matrix of lone columns (one or two rows each), zero columns,
+    a dense coupled block and zero rows."""
+    kr, kc = block_shape
+    lone_rows = rng.integers(1, 3, size=n_lone)
+    m = kr + int(lone_rows.sum()) + extra_rows
+    n = kc + n_lone + n_zero
+    M = np.zeros((m, n), dtype=complex)
+    scale = 10.0 ** rng.uniform(-2, 2)
+    M[:kr, :kc] = scale * (rng.standard_normal((kr, kc)) + 1j * rng.standard_normal((kr, kc)))
+    row = kr
+    for j in range(n_lone):
+        k = int(lone_rows[j])
+        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        M[row : row + k, kc + j] = rng.choice(lone_scales) * v / np.linalg.norm(v)
+        row += k
+    return M[rng.permutation(m)][:, rng.permutation(n)]
+
+
+def null_projector(vh, rank):
+    V = vh[rank:]
+    return V.conj().T @ V
+
+
+def assert_matches_dense(M, cut=None):
+    """``_svd`` gives the dense spectrum and, at ``cut`` (by default
+    RANK_THRESHOLD times the top singular value), the dense null space."""
+    m, n = M.shape
+    s, none = _svd(M)
+    s_v, vh = _svd(M, vectors=True)
+    assert none is None
+    # LAPACK's values-only and vector routines may differ in the last bits
+    assert np.allclose(s, s_v, rtol=0, atol=1e-14 * s[0] if s.size else 0)
+    assert s.shape == (min(m, n),)
+    assert np.all(np.diff(s) <= 0)
+    assert np.allclose(vh @ vh.conj().T, np.eye(n), atol=1e-13)
+    if not M.size:
+        assert np.array_equal(vh, np.eye(n))
+        return
+    _, s_d, vh_d = np.linalg.svd(M)
+    top = max(s_d[0], 1e-300)
+    assert np.max(np.abs(s - s_d)) <= 1e-13 * top
+    # each right singular vector is mapped to its singular value
+    assert np.allclose(np.linalg.norm(M @ vh[: s.size].conj().T, axis=0), s, atol=1e-13 * top)
+    cut = RANK_THRESHOLD * top if cut is None else cut
+    rank = int(np.sum(s > cut))
+    assert rank == int(np.sum(s_d > cut))
+    # Wedin: the null spaces differ by at most the error over the smallest kept value
+    tol = 1e-12 * top / s[rank - 1] if rank else 1e-12
+    assert np.max(np.abs(null_projector(vh, rank) - null_projector(vh_d, rank))) <= tol
+
+
+CASES = {
+    "lone_only": dict(n_lone=9, n_zero=0, block_shape=(0, 0)),
+    "lone_and_zero": dict(n_lone=6, n_zero=4, block_shape=(0, 0)),
+    "block_only": dict(n_lone=0, n_zero=0, block_shape=(5, 4)),
+    "two_column_block": dict(n_lone=5, n_zero=2, block_shape=(3, 2)),
+    "fewer_rows": dict(n_lone=4, n_zero=6, block_shape=(2, 5)),
+    "more_rows": dict(n_lone=3, n_zero=1, block_shape=(6, 3), extra_rows=4),
+    "wide_block": dict(n_lone=7, n_zero=3, block_shape=(3, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(8))
+def test_split_svd_matches_dense(case, seed):
+    rng = np.random.default_rng([seed, sorted(CASES).index(case)])
+    assert_matches_dense(split_matrix(rng, **CASES[case]))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 1), (1, 6), (6, 6)])
+def test_degenerate_shapes(shape):
+    assert_matches_dense(np.zeros(shape, dtype=complex))
+    if shape[0] and shape[1]:
+        M = np.zeros(shape, dtype=complex)
+        M[0, 0] = 1e-30
+        assert_matches_dense(M)
+
+
+def test_a_row_shared_by_two_columns_couples_them():
+    # columns 0 and 1 are orthogonal to column 2 but not to each other
+    M = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
+    s, _ = _svd(M)
+    assert np.allclose(s, [2.0, np.sqrt((3 + np.sqrt(5)) / 2), np.sqrt((3 - np.sqrt(5)) / 2)])
+    assert_matches_dense(M)
+
+
+def test_only_the_coupled_block_reaches_lapack(monkeypatch):
+    shapes = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda B, **kw: shapes.append(B.shape) or real(B, **kw))
+    rng = np.random.default_rng(5)
+    M = split_matrix(rng, n_lone=20, n_zero=5, block_shape=(3, 4))
+    _svd(M)
+    _svd(M, vectors=True)
+    assert shapes == [(3, 4), (3, 4)]
+    shapes.clear()
+    _svd(split_matrix(rng, n_lone=20, n_zero=5, block_shape=(0, 0)), vectors=True)
+    assert shapes == []
+
+
+# -- _orthonormalize -----------------------------------------------------------
+
+def reference_orthonormalize(M, tol=RANK_TOL):
+    """One pivoted QR of every column, with the rank cut at tol times its first pivot."""
+    q, r, _ = sla.qr(M, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    return q[:, : int(np.sum(diag > tol * max(diag[0], 1e-300)))]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(8))
+def test_orthonormalize_matches_one_pivoted_qr(case, seed):
+    rng = np.random.default_rng([seed, sorted(CASES).index(case), 1])
+    M = split_matrix(rng, **CASES[case])
+    if not M.size:
+        return
+    q = _orthonormalize([M])
+    ref = reference_orthonormalize(M)
+    assert q.shape == ref.shape
+    assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
+    assert np.allclose(q @ q.conj().T, ref @ ref.conj().T, atol=1e-12)
+    # rows that every input column leaves at zero stay exactly zero
+    assert not np.any(q[~np.any(M != 0, axis=1)])
+
+
+def test_lone_columns_below_the_rank_cut_are_dropped():
+    # the tiny column is alone on its row, but it is 1e-12 of the largest norm
+    M = np.zeros((3, 3), dtype=complex)
+    M[0, 0], M[1, 1], M[2, 2] = 2.0, 1e-12, 1e-30
+    q = _orthonormalize([M])
+    assert q.shape == (3, 1)
+    assert np.array_equal(q[:, 0], [1, 0, 0])
+    # the largest norm may sit in the coupled block
+    M = np.zeros((4, 3), dtype=complex)
+    M[:2, :2] = [[3.0, 1.0], [1.0, -3.0]]
+    M[3, 2] = 1e-11
+    assert _orthonormalize([M]).shape == (4, 2)
+
+
+# -- the constraint matrices of assemble ----------------------------------------
+
+def scalar_problem(basis, left, right, rho):
+    return CylinderProblem(basis, SigmaZero.scalar(basis, 1j), rho, left, right)
+
+
+def aps_grid():
+    basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+    nb = basis.negated()
+    cuts = (-2.5, -0.5, 0.5, 1.5, 100.0)
+    return {
+        f"aps_{a}_{b}": lambda rho, a=a, b=b: scalar_problem(
+            basis, make_generalized_aps(basis, a), make_generalized_aps(nb, b), rho
+        )
+        for a in cuts
+        for b in cuts
+    }
+
+
+def graph(fiber_dim, seed):
+    def build(rho):
+        basis = EigenmodeBasis.lattice(10, shift=0.2, fiber_dim=fiber_dim, band_limit=4.0)
+        rng = np.random.default_rng(seed)
+        left = seeded_graph_condition(basis, rng, cut=0.5, dim_w_plus=1, dim_w_minus=2, g_norm=0.7)
+        right = seeded_graph_condition(basis.negated(), rng, cut=-0.3, g_norm=0.6)
+        return scalar_problem(basis, left, right, rho)
+
+    return build
+
+
+def chiral(rho):
+    basis, sigma = chiral_block_basis(4, lambda j: 1j * j, band_limit=2.0)
+    neg = sigma.negated_boundary()
+    return CylinderProblem(
+        basis, sigma, rho, make_chiral(basis, sigma), make_chiral(neg.basis, neg, sign=-1)
+    )
+
+
+def transmission(rho):
+    db = EigenmodeBasis.lattice(4, shift=0.3, band_limit=2.0).doubled()
+    return scalar_problem(db, make_transmission(db), make_transmission(db.negated()), rho)
+
+
+PROBLEMS = {
+    **aps_grid(),
+    **{f"graph_f{f}_s{s}": graph(f, s) for f in (1, 2) for s in (3, 11)},
+    "chiral": chiral,
+    "transmission": transmission,
+}
+
+
+@pytest.mark.parametrize("rho", [1.0, 25.0])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_assembly_matches_dense_svd(name, rho):
+    A = assemble(PROBLEMS[name](rho), vectors=True)
+    for Q, s, vh, d in zip(A.problems, A.spectra, A.vh, A.dims()):
+        M = homogeneous_constraint_matrix(Q, Q.left.perp_span_matrix(), Q.right.perp_span_matrix())
+        assert_matches_dense(M, cut=A.cut)
+        s_split, vh_split = _svd(M, vectors=True)
+        assert np.array_equal(s, s_split) and np.array_equal(vh, vh_split)
+        s_d = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+        assert d == Q.basis.total_dim - int(np.sum(s_d > A.cut))
