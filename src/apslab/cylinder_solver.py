@@ -23,7 +23,7 @@ from .spectral_core import (
     SigmaZero,
     check_norm,
 )
-from .boundary_conditions import AdjointCondition, BoundaryCondition, _coupled_block, adjoint
+from .boundary_conditions import BoundaryCondition, _coupled_block, adjoint
 
 RANK_THRESHOLD = 1e-9  # relative singular-value cutoff for rank decisions
 CONSISTENCY_TOL = 1e-9
@@ -292,7 +292,11 @@ class CylinderProblem:
 
 
 def adjoint_problem(P: CylinderProblem) -> CylinderProblem:
-    """The adjoint boundary-value problem, whose kernel is the cokernel of P."""
+    """The adjoint boundary-value problem, whose kernel is the cokernel of P.
+
+    ``assemble`` reads the cokernel from P's own spans instead, so nothing on
+    the index path builds this problem.
+    """
     ab = P.sigma0.adjoint_basis()
     as0 = P.sigma0.adjoint_sigma()
     left_ad = adjoint(P.left, P.sigma0).condition
@@ -344,7 +348,7 @@ def _right_permutation(basis: EigenmodeBasis, nb: EigenmodeBasis) -> np.ndarray:
 
 
 def homogeneous_constraint_matrix(
-    P: CylinderProblem, NL: np.ndarray, NR: np.ndarray
+    P: CylinderProblem, NL: np.ndarray, NR: np.ndarray, negated: bool = False
 ) -> np.ndarray:
     """The stacked boundary constraints on normalized homogeneous coefficients.
 
@@ -352,9 +356,17 @@ def homogeneous_constraint_matrix(
     solution sum_j c_j h_j(t) phi_j; the rows express membership of the
     traces in the left and right conditions, whose ``perp_span_matrix``
     spans are ``NL`` and ``NR``.
+
+    With ``negated`` the solutions are those of the eigenvalues -lambda,
+    e^{+lambda t}, and ``assemble`` passes the spans of the conditions
+    themselves: the nullity is then dim coker.  The normalized value of
+    e^{+lambda t} at one end is that of e^{-lambda t} at the other, so the two
+    ends' scales swap, bit for bit.
     """
     basis = P.basis
     d0, dr = _homogeneous_scales(basis, P.rho)
+    if negated:
+        d0, dr = dr, d0
     perm = _right_permutation(basis, P.right.basis)
     rows = []
     if NL.size:
@@ -378,6 +390,9 @@ def _svd(M: np.ndarray, vectors: bool = False) -> tuple:
     coupled columns, on the rows they touch, go through ``np.linalg.svd``;
     a block-diagonal matrix has the union of its blocks' spectra.  ``s`` has
     min(M.shape) entries, as a dense SVD gives; without ``vectors``, vh is None.
+    The values always come from the values-only routine, and ``vectors`` adds
+    a full SVD of the block for vh alone, so that a call with vectors ranks
+    the very numbers that one without them ranks.
     """
     m, n = M.shape
     cols, rows = _coupled_block(M)
@@ -385,10 +400,9 @@ def _svd(M: np.ndarray, vectors: bool = False) -> tuple:
     values = [np.linalg.norm(M[:, lone], axis=0)]
     if block.size:
         B = M[np.ix_(rows, cols)]
+        sb = np.linalg.svd(B, compute_uv=False)
         if vectors:
-            _, sb, vhb = np.linalg.svd(B)
-        else:
-            sb = np.linalg.svd(B, compute_uv=False)
+            vhb = np.linalg.svd(B)[2]
         values += [sb, np.zeros(block.size - sb.size)]
     values = np.concatenate(values)
     order = np.argsort(-values, kind="stable")
@@ -403,11 +417,11 @@ def _svd(M: np.ndarray, vectors: bool = False) -> tuple:
 
 
 def _shared_cut(*spectra: np.ndarray) -> float:
-    """The one singular-value cut for the constraints of a problem and its adjoint.
+    """The one singular-value cut for the constraint and cokernel matrices of a problem.
 
     It is RANK_THRESHOLD times the largest singular value of any of the
-    matrices.  A relative cut per matrix can keep a singular value that a
-    problem and its adjoint share for one of them and drop it for the other.
+    matrices.  A relative cut per matrix can keep a singular value that the
+    two share for one of them and drop it for the other.
     """
     return RANK_THRESHOLD * max((s[0] for s in spectra if s.size), default=0.0)
 
@@ -423,16 +437,32 @@ def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> Cyli
     return CylinderSection(basis, rho, out)
 
 
+def _unitary_part(sigma0: SigmaZero, ab: EigenmodeBasis) -> np.ndarray:
+    """sigma_0 / scale as a dense matrix from sigma0.basis coordinates to ``ab``'s.
+
+    Block U_j = blocks[j] / scale maps the fiber of mode j into that of tau(j).
+    """
+    basis = sigma0.basis
+    U = np.zeros((ab.total_dim, basis.total_dim), dtype=complex)
+    for j, S in sigma0.blocks.items():
+        ot, os = ab.offset(sigma0.tau(j)), basis.offset(j)
+        U[ot : ot + S.shape[0], os : os + S.shape[1]] = S / sigma0.scale
+    return U
+
+
 @dataclasses.dataclass(frozen=True)
 class Assembly:
-    """The constraints of a problem and of its adjoint, whose kernel is its cokernel.
+    """The constraint matrix of a problem and its cokernel matrix, factored.
 
     ``NL``, ``NR`` and ``M`` are the problem's spans and constraint matrix.
     ``spectra`` and ``vh`` hold the singular values and square right singular
-    vectors of both matrices; the entries of ``vh`` are None without vectors.
+    vectors of M and of the cokernel matrix; the entries of ``vh`` are None
+    without vectors.  ``adjoint_basis``, set only with vectors, is the basis
+    of the adjoint side, over which the cokernel sections live.
     """
 
-    problems: tuple  # (P, adjoint_problem(P))
+    problem: CylinderProblem
+    adjoint_basis: Optional[EigenmodeBasis]
     NL: np.ndarray
     NR: np.ndarray
     M: np.ndarray
@@ -442,51 +472,57 @@ class Assembly:
 
     def dims(self) -> tuple:
         """(dim ker, dim coker): the nullities of both matrices at the shared cut."""
-        return tuple(
-            Q.basis.total_dim - int(np.sum(s > self.cut))
-            for Q, s in zip(self.problems, self.spectra)
-        )
+        D = self.problem.basis.total_dim
+        return tuple(D - int(np.sum(s > self.cut)) for s in self.spectra)
 
     def sections(self) -> tuple:
-        """Orthonormal (kernel, cokernel) sections: the last rows of each vh, one per nullity."""
-        return tuple(
-            [_coeffs_to_section(Q.basis, Q.rho, c) for c in vh[len(vh) - d :].conj()]
-            for Q, vh, d in zip(self.problems, self.vh, self.dims())
-        )
+        """Orthonormal (kernel, cokernel) sections, from the last rows of each vh.
 
-
-def _factor(Q: CylinderProblem, vectors: bool) -> tuple:
-    """(NL, NR, M, s, vh): Q's spans, constraint matrix and its ``_svd``.
-
-    A mode that neither condition's W data nor g touch gives a column alone on
-    its rows, so only the touched coordinates reach a dense SVD.
-    """
-    NL, NR = Q.left.perp_span_matrix(), Q.right.perp_span_matrix()
-    M = homogeneous_constraint_matrix(Q, NL, NR)
-    return (NL, NR, M, *_svd(M, vectors))
+        A null vector y of the cokernel matrix gives the cokernel section with
+        coefficients x_{tau(j)} = U_j y_j over the adjoint basis.
+        """
+        P, ab = self.problem, self.adjoint_basis
+        (dk, dc), (vh, vh_co) = self.dims(), self.vh
+        D = P.basis.total_dim
+        kernel = [_coeffs_to_section(P.basis, P.rho, c) for c in vh[D - dk :].conj()]
+        X = vh_co[D - dc :].conj() @ _unitary_part(P.sigma0, ab).T
+        return kernel, [_coeffs_to_section(ab, P.rho, x) for x in X]
 
 
 def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
-    """Build and factor the constraint matrices of P and of its adjoint, once each.
+    """Build and factor the constraint matrix of P and its cokernel matrix, once each.
+
+    In the adjoint condition B^ad = (sigma_0 B)^perp, and sigma_0 is a
+    unitary U times one scale, so the adjoint problem's constraint rows span
+    U span(B) at both ends.  Its constraint matrix is therefore the cokernel
+    matrix, P's own ``span_matrix`` spans scaled for e^{+lambda t}, times the
+    unitary U^* on the right: the two share their singular values, and no
+    adjoint problem is built.  sigma_0 enters only the cokernel sections.
 
     Each factorization splits as ``_svd`` says: untouched modes take their
     singular values in closed form, and the coupled block on the touched
     coordinates takes one dense SVD, so an APS problem takes none.  Right
     singular vectors are taken only with ``vectors``, for the kernel and
     cokernel sections; without them no square vh is allocated.  Only P's spans
-    and matrix are kept: the adjoint's are dropped before P's are built.
+    and constraint matrix are kept.
     """
-    Pad = adjoint_problem(P)
-    s_ad, vh_ad = _factor(Pad, vectors)[3:]
-    NL, NR, M, s, vh = _factor(P, vectors)
-    return Assembly((P, Pad), NL, NR, M, (s, s_ad), (vh, vh_ad), _shared_cut(s, s_ad))
+    C = homogeneous_constraint_matrix(
+        P, P.left.span_matrix(), P.right.span_matrix(), negated=True
+    )
+    s_co, vh_co = _svd(C, vectors)
+    del C  # dropped before P's spans and matrix are built
+    NL, NR = P.left.perp_span_matrix(), P.right.perp_span_matrix()
+    M = homogeneous_constraint_matrix(P, NL, NR)
+    s, vh = _svd(M, vectors)
+    ab = P.sigma0.adjoint_basis() if vectors else None
+    return Assembly(P, ab, NL, NR, M, (s, s_co), (vh, vh_co), _shared_cut(s, s_co))
 
 
 def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
     """General solve: Phi = S_0 Psi + homogeneous part fitted to both conditions.
 
     The constraints, and the kernel and obstruction bases, are read from the
-    one ``assemble`` record of P and its adjoint that ``index`` also reads.
+    one ``assemble`` record of P that ``index`` also reads.
     """
     if not psi.basis.same_modes(P.basis) or psi.rho != P.rho:
         raise BasisMismatchError("right-hand side disagrees with the problem")

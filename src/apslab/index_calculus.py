@@ -2,13 +2,15 @@
 
 Kernel and cokernel dimensions are finite linear-algebra computations because
 all boundary data is band-limited: outside the perturbation band each mode
-obeys a pure per-mode sign rule.  There is one production route, the rank of
-the full-basis constraint matrices of a problem and its adjoint, decided
-against one singular-value cut that the two share.  The factorization splits
-by sparsity: a column alone on its rows (a mode no W data or g touch) has its
-norm as its singular value, and only the coupled block, on the touched
-coordinates, takes a dense SVD.  A banded assembly (sign table plus a small
-block on the touched modes) is kept in the tests as an oracle for it.
+obeys a pure per-mode sign rule.  There is one production route, the ranks
+of two full-basis matrices decided against one singular-value cut that they
+share: the problem's constraint matrix, and its cokernel matrix, built from
+the spans of the problem's own conditions (the adjoint's constraint matrix
+up to a unitary factor, so no adjoint problem is built).  The factorization
+splits by sparsity: a column alone on its rows (a mode no W data or g touch)
+has its norm as its singular value, and only the coupled block, on the
+touched coordinates, takes a dense SVD.  A banded assembly (sign table plus a
+small block on the touched modes) is kept in the tests as an oracle for it.
 
 A certified report passes two checks.  The formula check: every condition is
 in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it
@@ -99,7 +101,7 @@ def _touched_modes(cond: BoundaryCondition) -> set:
 
 
 def kernel_dim(P: CylinderProblem) -> int:
-    """dim ker P, decided against the cut P shares with its adjoint, as in ``index``."""
+    """dim ker P, decided against the cut shared with P's cokernel matrix, as in ``index``."""
     return assemble(P).dims()[0]
 
 
@@ -164,8 +166,8 @@ def index(
     """Exact index of the boundary-value problem, certified as the module docstring says.
 
     ker and coker, and with ``with_bases`` their orthonormal bases, are read
-    from one ``assemble`` record of P and its adjoint: the nullities of their
-    constraint matrices at the one cut the two share, as ``solve_bvp`` reads
+    from one ``assemble`` record of P: the nullities of its constraint and
+    cokernel matrices at the one cut the two share, as ``solve_bvp`` reads
     them.  ``doubled_agrees`` is True when the certificate ran (a failing one
     raises CertificateError) and None without it.
     """

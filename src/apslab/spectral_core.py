@@ -445,7 +445,8 @@ class SigmaZero:
         skew_unitary: bool,
         extend_fn=None,
     ) -> "SigmaZero":
-        """A sigma_0 whose blocks a validated one gives, up to sign or adjoint.
+        """A sigma_0 whose blocks a validated one gives, up to sign or adjoint,
+        or that ``scalar`` builds in closed form.
 
         ``on_basis``, ``negated_boundary`` and ``adjoint_sigma`` keep the mode
         lattice, the conformal scale and skew-unitarity, so the checks of
@@ -464,12 +465,29 @@ class SigmaZero:
 
     @staticmethod
     def scalar(basis: EigenmodeBasis, value: complex) -> "SigmaZero":
-        blocks = {m.mode_id: value * np.eye(m.fiber_dim) for m in basis.modes}
-        skew = abs(value * np.conj(value) - 1.0) < IDENTITY_TOL and abs(value.real) < IDENTITY_TOL
-        return SigmaZero(
+        """value times the identity on every fiber, built in closed form.
+
+        The value is checked once, with the message ``__init__`` gives for a
+        zero or non-finite block at the first mode.  Modes of one fiber
+        dimension share one read-only block; the scale is |value|, and the
+        symbol is skew-unitary when value is i or -i to IDENTITY_TOL.
+        """
+        value = complex(value)
+        c = value.real**2 + value.imag**2
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"sigma_0 block at mode {basis.modes[0].mode_id} is not conformal")
+        shared: dict = {}
+        for k in {m.fiber_dim for m in basis.modes}:
+            shared[k] = value * np.eye(k)
+            shared[k].flags.writeable = False
+        blocks = {m.mode_id: shared[m.fiber_dim] for m in basis.modes}
+        skew = abs(c - 1.0) < IDENTITY_TOL and abs(2.0 * value.real) <= IDENTITY_TOL
+        return SigmaZero._derived(
             basis,
             blocks,
-            skew_unitary=skew,
+            {m.mode_id: m.mode_id for m in basis.modes},
+            abs(value),
+            skew,
             extend_fn=lambda nb: SigmaZero.scalar(nb, value),
         )
 

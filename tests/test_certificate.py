@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import banded_oracle
-from apslab import cylinder_solver, index_calculus
+from apslab import boundary_conditions, cylinder_solver, index_calculus
 from apslab.boundary_conditions import (
     BoundaryCondition,
     complement_condition,
@@ -186,32 +186,40 @@ class TestCertificateCatches:
         P2 = P.on_basis(P.basis.extended(2))
         assert _doubling_counts(P, P2) is None
         calls = []
-        real = cylinder_solver.adjoint_problem
+        real = index_calculus.assemble
         monkeypatch.setattr(
-            cylinder_solver, "adjoint_problem", lambda Q: calls.append(Q.basis.total_dim) or real(Q)
+            index_calculus, "assemble", lambda Q, **kw: calls.append(Q.basis.total_dim) or real(Q, **kw)
         )
         rep = cobordism_check(basis, sigma)
         assert rep["pass"], rep
         assert all(r.truncation_certificate["doubled_agrees"] is True for r in rep["reports"])
-        # index_plus and index_minus each build the adjoint at D and at 2N
+        # index_plus and index_minus each assemble at D and at 2N
         D, D2 = basis.total_dim, P2.basis.total_dim
         assert sorted(calls) == [D, D, D2, D2]
 
 
 class TestCertificateWork:
     """A certified APS or graph index() takes no rank at 2N, and every reader
-    of a problem's constraints builds and factors each matrix once.  Only the
+    of a problem's constraints builds and factors each matrix once, from the
+    problem's own spans: no adjoint problem or condition is built.  Only the
     coordinates that W data or g touch reach a dense SVD, so an APS problem
     takes none and a graph problem one per matrix, on the touched block."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"matrices": [], "adjoints": 0, "perp_spans": 0, "svd_widths": []}
+        calls = {
+            "matrices": [],
+            "adjoints": 0,
+            "adjoint_conditions": 0,
+            "spans": 0,
+            "perp_spans": 0,
+            "svd_widths": [],
+        }
         build = cylinder_solver.homogeneous_constraint_matrix
         svd = np.linalg.svd
 
-        def count_matrix(P, NL, NR):
-            M = build(P, NL, NR)
+        def count_matrix(P, NL, NR, **kw):
+            M = build(P, NL, NR, **kw)
             calls["matrices"].append((P.basis.total_dim, M.shape[1]))
             return M
 
@@ -230,6 +238,12 @@ class TestCertificateWork:
         monkeypatch.setattr(
             cylinder_solver, "adjoint_problem", count("adjoints", cylinder_solver.adjoint_problem)
         )
+        adjoint_condition = count("adjoint_conditions", boundary_conditions.adjoint)
+        monkeypatch.setattr(boundary_conditions, "adjoint", adjoint_condition)
+        monkeypatch.setattr(cylinder_solver, "adjoint", adjoint_condition)
+        monkeypatch.setattr(
+            BoundaryCondition, "span_matrix", count("spans", BoundaryCondition.span_matrix)
+        )
         monkeypatch.setattr(
             BoundaryCondition,
             "perp_span_matrix",
@@ -240,11 +254,14 @@ class TestCertificateWork:
 
     @staticmethod
     def once(D, svd_widths=()):
-        """The work of one assembly of a problem and its adjoint on D coordinates."""
+        """The work of one assembly of a problem on D coordinates: its constraint
+        and cokernel matrices, from its own spans, with no adjoint built."""
         return {
             "matrices": [(D, D), (D, D)],
-            "adjoints": 1,
-            "perp_spans": 4,
+            "adjoints": 0,
+            "adjoint_conditions": 0,
+            "spans": 2,
+            "perp_spans": 2,
             "svd_widths": list(svd_widths),
         }
 

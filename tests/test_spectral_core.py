@@ -211,6 +211,43 @@ class TestSigmaZero:
         assert SigmaZero.scalar(basis, 1j).skew_unitary
         assert not SigmaZero.scalar(basis, 2.0).skew_unitary
 
+    @pytest.mark.parametrize("fiber_dim", [1, 2])
+    @pytest.mark.parametrize("value", [1j, 2.0, 0.5 + 0.5j])
+    def test_closed_form_scalar_equals_the_validated_symbol(self, value, fiber_dim):
+        basis = EigenmodeBasis.lattice(4, shift=0.2, fiber_dim=fiber_dim, band_limit=2.0)
+        blocks = {m.mode_id: value * np.eye(fiber_dim) for m in basis.modes}
+        ref = SigmaZero(basis, blocks, skew_unitary=value == 1j)
+        s = SigmaZero.scalar(basis, value)
+        assert list(s.blocks) == list(ref.blocks)
+        assert all(np.array_equal(s.blocks[j], ref.blocks[j]) for j in ref.blocks)
+        assert s.targets == ref.targets and s.sources == ref.sources
+        assert s.scale == ref.scale
+        assert s.skew_unitary is ref.skew_unitary
+        big = s.on_lattice(basis.extended(2))
+        assert big.basis.total_dim == basis.extended(2).total_dim
+        assert np.array_equal(big.blocks[8], value * np.eye(fiber_dim))
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, complex(1.0, math.nan)])
+    def test_closed_form_scalar_rejects_what_the_constructor_rejects(self, value):
+        basis = EigenmodeBasis.lattice(3, band_limit=1.0)
+        blocks = {m.mode_id: value * np.eye(1) for m in basis.modes}
+        with pytest.raises(ValueError) as validated:
+            SigmaZero(basis, blocks)
+        with pytest.raises(ValueError) as closed:
+            SigmaZero.scalar(basis, value)
+        assert str(closed.value) == str(validated.value) == "sigma_0 block at mode -3 is not conformal"
+
+    def test_closed_form_scalar_shares_read_only_blocks(self):
+        modes = [Mode(0, "c0", -1.0, 1), Mode(1, "c0", 0.5, 2), Mode(2, "c0", 1.5, 1)]
+        basis = EigenmodeBasis(modes, band_limit=1.0)
+        s = SigmaZero.scalar(basis, 1j)
+        assert s.blocks[0] is s.blocks[2]
+        assert s.blocks[1].shape == (2, 2)
+        for block in s.blocks.values():
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 2.0
+        assert s.blocks[0][0, 0] == 1j
+
     def test_non_conformal_block_rejected(self, basis):
         blocks = {m.mode_id: np.eye(m.fiber_dim) for m in basis.modes}
         blocks[0] = np.array([[2.0]])

@@ -8,7 +8,8 @@ are checked against one dense factorization of the whole matrix: on seeded
 matrices built from lone columns (down to 1e-30), zero columns and a coupled
 block, permuted, with fewer or more rows than columns; and on the constraint
 matrices that ``assemble`` factors for APS, graph, chiral and transmission
-problems.
+problems, whose cokernel matrix is also checked against the constraint matrix
+of the adjoint problem.
 """
 
 import numpy as np
@@ -26,11 +27,14 @@ from apslab.boundary_conditions import (
 from apslab.cylinder_solver import (
     RANK_THRESHOLD,
     CylinderProblem,
+    CylinderSection,
     _svd,
+    adjoint_problem,
     assemble,
     homogeneous_constraint_matrix,
+    solve_bvp,
 )
-from apslab.index_calculus import chiral_block_basis
+from apslab.index_calculus import chiral_block_basis, index, kernel_dim
 from apslab.spectral_core import EigenmodeBasis, SigmaZero
 
 LONE_SCALES = (1e-30, 1e-15, 1e-3, 1.0, 7.0)
@@ -67,8 +71,8 @@ def assert_matches_dense(M, cut=None):
     s, none = _svd(M)
     s_v, vh = _svd(M, vectors=True)
     assert none is None
-    # LAPACK's values-only and vector routines may differ in the last bits
-    assert np.allclose(s, s_v, rtol=0, atol=1e-14 * s[0] if s.size else 0)
+    # both calls rank the values of the values-only routine, bit for bit
+    assert np.array_equal(s, s_v)
     assert s.shape == (min(m, n),)
     assert np.all(np.diff(s) <= 0)
     assert np.allclose(vh @ vh.conj().T, np.eye(n), atol=1e-13)
@@ -126,12 +130,18 @@ def test_a_row_shared_by_two_columns_couples_them():
 def test_only_the_coupled_block_reaches_lapack(monkeypatch):
     shapes = []
     real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda B, **kw: shapes.append(B.shape) or real(B, **kw))
+    monkeypatch.setattr(
+        np.linalg,
+        "svd",
+        lambda B, **kw: shapes.append((B.shape, kw.get("compute_uv", True))) or real(B, **kw),
+    )
     rng = np.random.default_rng(5)
     M = split_matrix(rng, n_lone=20, n_zero=5, block_shape=(3, 4))
     _svd(M)
     _svd(M, vectors=True)
-    assert shapes == [(3, 4), (3, 4)]
+    # the values always come from the values-only routine; vectors add one
+    # full SVD of the block for vh
+    assert shapes == [((3, 4), False), ((3, 4), False), ((3, 4), True)]
     shapes.clear()
     _svd(split_matrix(rng, n_lone=20, n_zero=5, block_shape=(0, 0)), vectors=True)
     assert shapes == []
@@ -230,11 +240,46 @@ PROBLEMS = {
 @pytest.mark.parametrize("rho", [1.0, 25.0])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_assembly_matches_dense_svd(name, rho):
-    A = assemble(PROBLEMS[name](rho), vectors=True)
-    for Q, s, vh, d in zip(A.problems, A.spectra, A.vh, A.dims()):
-        M = homogeneous_constraint_matrix(Q, Q.left.perp_span_matrix(), Q.right.perp_span_matrix())
-        assert_matches_dense(M, cut=A.cut)
-        s_split, vh_split = _svd(M, vectors=True)
+    P = PROBLEMS[name](rho)
+    A = assemble(P, vectors=True)
+    D = P.basis.total_dim
+    M = homogeneous_constraint_matrix(P, P.left.perp_span_matrix(), P.right.perp_span_matrix())
+    C = homogeneous_constraint_matrix(
+        P, P.left.span_matrix(), P.right.span_matrix(), negated=True
+    )
+    assert np.array_equal(M, A.M)
+    for N, s, vh, d in zip((M, C), A.spectra, A.vh, A.dims()):
+        assert_matches_dense(N, cut=A.cut)
+        s_split, vh_split = _svd(N, vectors=True)
         assert np.array_equal(s, s_split) and np.array_equal(vh, vh_split)
-        s_d = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
-        assert d == Q.basis.total_dim - int(np.sum(s_d > A.cut))
+        s_d = np.linalg.svd(N, compute_uv=False) if N.size else np.zeros(0)
+        assert d == D - int(np.sum(s_d > A.cut))
+    # oracle: the adjoint problem's constraint matrix, from its own perp spans,
+    # has the cokernel matrix's shape, spectrum and nullity at the shared cut
+    Q = adjoint_problem(P)
+    M_ad = homogeneous_constraint_matrix(Q, Q.left.perp_span_matrix(), Q.right.perp_span_matrix())
+    assert M_ad.shape == C.shape
+    s_ad = np.linalg.svd(M_ad, compute_uv=False) if M_ad.size else np.zeros(0)
+    top = max(A.cut / RANK_THRESHOLD, 1e-300)
+    assert np.max(np.abs(s_ad - A.spectra[1]), initial=0.0) <= 1e-13 * top
+    assert A.dims()[1] == Q.basis.total_dim - int(np.sum(s_ad > A.cut))
+
+
+@pytest.mark.parametrize("rho", [1.0, 25.0])
+@pytest.mark.parametrize("name", [n for n in sorted(PROBLEMS) if not n.startswith("aps_")])
+def test_every_reader_ranks_the_same_values(name, rho):
+    # index(P) and index(P, with_bases=True) once ranked the values of two
+    # LAPACK routines, which differ in the last bits on these coupled blocks
+    P = PROBLEMS[name](rho)
+    plain, full = assemble(P), assemble(P, vectors=True)
+    for s, s_v in zip(plain.spectra, full.spectra):
+        assert np.array_equal(s, s_v)
+    assert plain.cut == full.cut
+    rep = index(P, certify=False)
+    bases = index(P, certify=False, with_bases=True)
+    res = solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
+    dims = (rep.dim_ker, rep.dim_coker)
+    assert (bases.dim_ker, bases.dim_coker) == dims
+    assert (len(bases.kernel_basis), len(bases.cokernel_basis)) == dims
+    assert (len(res.kernel_basis), len(res.obstruction_basis)) == dims
+    assert kernel_dim(P) == dims[0]

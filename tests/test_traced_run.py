@@ -6,7 +6,9 @@ A rename or a new signature in the package can make a hook go missing (the
 metric is then marked ``absent``) or break the run's last line.  Each test
 runs one round of a workload from a copy of ``src/`` and ``apsbench/``, so
 nothing is written into the checkout.  The per-operation counts of a traced
-``index_fresh`` round must also be the same at two seeds.
+``index_fresh`` round must also be the same at two seeds; its index path must
+build no adjoint problem, no adjoint condition and no validated sigma_0, and
+the solve path no adjoint problem.
 """
 
 import ast
@@ -76,3 +78,18 @@ def test_traced_counts_repeat_across_seeds(traced):
     assert len(names) == 10
     one, two = (traced("index_fresh", seed)["metrics"] for seed in (1, 2))
     assert {n: one[n]["value"] for n in names} == {n: two[n]["value"] for n in names}
+
+
+def test_traced_index_path_builds_no_adjoint(traced):
+    # the cokernel is read from the problem's own spans and SigmaZero.scalar is
+    # built in closed form; building either adjoint again shows in these counts
+    metrics = traced("index_fresh", 1)["metrics"]
+    names = [
+        "cylinder_solver.adjoint_problem_calls",
+        "boundary_conditions.adjoint_calls",
+        "spectral_core.sigma_builds",
+        "cylinder_solver.constraint_cells",
+    ]
+    assert {n: metrics[n]["value"] for n in names} == dict(zip(names, [0, 0, 0, 132098]))
+    solve = traced("solve_verify", 1)["metrics"]
+    assert solve["cylinder_solver.adjoint_problem_calls"]["value"] == 0
