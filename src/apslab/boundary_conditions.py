@@ -165,11 +165,13 @@ def _orthonormalize(parts: list, tol: float = RANK_TOL) -> np.ndarray:
     goes through a pivoted QR restricted to the rows it touches.  A column is
     kept when its norm, or its diagonal entry of R, exceeds ``tol`` times the
     largest column norm, the first diagonal entry of a pivoted QR of all of
-    them.  The uncoupled columns come first, in input order.
+    them.  The uncoupled columns come first, in input order.  The result has
+    the row count of ``parts``, even when it has no columns.
     """
+    height = parts[0].shape[0] if parts else 0
     parts = [p for p in parts if p.size]
     if not parts:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((height, 0), dtype=complex)
     M = np.column_stack(parts)
     cols, rows = _coupled_block(M)
     lone = M[:, ~cols]
@@ -201,7 +203,6 @@ class BoundaryCondition:
         w_minus: Iterable[BoundarySection] = (),
         g: Optional[ModeMap] = None,
         provenance: str = "graph",
-        regen=None,
     ):
         if provenance not in ("aps", "graph", "chiral", "transmission"):
             raise ConditionError(f"unknown provenance {provenance!r}")
@@ -211,7 +212,6 @@ class BoundaryCondition:
         if self.g.basis is not basis:
             self.g = self.g.on_basis(basis)
         self.provenance = provenance
-        self.regen = regen
 
         wp = [w.on_basis(basis).to_dense() for w in w_plus]
         wm = [w.on_basis(basis).to_dense() for w in w_minus]
@@ -369,8 +369,6 @@ class BoundaryCondition:
 
     def on_basis(self, basis: EigenmodeBasis) -> "BoundaryCondition":
         """Transfer the band data unchanged to a lattice-extending basis."""
-        if self.regen is not None:
-            return self.regen(basis)
         wp = [
             BoundarySection.from_dense(self.basis, self.w_plus[:, i]).coeffs
             for i in range(self.dim_w_plus())
@@ -462,10 +460,7 @@ def make_chiral(basis: EigenmodeBasis, sigma0: SigmaZero, sign: int = 1) -> Boun
             else:  # pragma: no cover - i*sigma_0 is an involution
                 raise ConditionError("i*sigma_0 eigenvalue off +-1 on kernel modes")
 
-    def regen(new_basis: EigenmodeBasis) -> BoundaryCondition:
-        return make_chiral(new_basis, sigma0.on_lattice(new_basis), sign)
-
-    return BoundaryCondition(basis, 0.0, w_plus, w_minus, g, provenance="chiral", regen=regen)
+    return BoundaryCondition(basis, 0.0, w_plus, w_minus, g, provenance="chiral")
 
 
 def make_transmission(doubled_basis: EigenmodeBasis) -> BoundaryCondition:
@@ -497,12 +492,7 @@ def make_transmission(doubled_basis: EigenmodeBasis) -> BoundaryCondition:
                 w_plus.append(BoundarySection(basis, {j: e, t: e}))
                 w_minus.append(BoundarySection(basis, {j: e, t: -e}))
 
-    def regen(new_basis: EigenmodeBasis) -> BoundaryCondition:
-        return make_transmission(new_basis)
-
-    return BoundaryCondition(
-        basis, 0.0, w_plus, w_minus, g, provenance="transmission", regen=regen
-    )
+    return BoundaryCondition(basis, 0.0, w_plus, w_minus, g, provenance="transmission")
 
 
 # -- operations ------------------------------------------------------------
@@ -579,15 +569,7 @@ def deform(B: BoundaryCondition, s: float) -> BoundaryCondition:
         raise ConditionError("deformation parameter must lie in [0, 1]")
     wp = [BoundarySection.from_dense(B.basis, B.w_plus[:, i]) for i in range(B.dim_w_plus())]
     wm = [BoundarySection.from_dense(B.basis, B.w_minus[:, i]) for i in range(B.dim_w_minus())]
-    return BoundaryCondition(
-        B.basis,
-        B.cut,
-        wp,
-        wm,
-        B.g.scale(s),
-        B.provenance,
-        regen=lambda nb: deform(B.on_basis(nb), s),
-    )
+    return BoundaryCondition(B.basis, B.cut, wp, wm, B.g.scale(s), B.provenance)
 
 
 def quotient_dim(B1: BoundaryCondition, B2: BoundaryCondition) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -251,6 +251,13 @@ class CylinderProblem:
 
     The left condition is expressed over the boundary operator A, the right
     one over the adapted operator -A (the negated basis).
+
+    ``family``, when set, builds the problem that this one is on a larger
+    basis of its spectrum, such as ``basis.extended(2)``.  The truncation
+    certificate needs it only for conditions that are not band-limited, whose
+    data touch modes beyond the band (chiral and transmission conditions pair
+    every mode); a band-limited problem is certified from the larger spectrum
+    alone.
     """
 
     basis: EigenmodeBasis
@@ -258,6 +265,7 @@ class CylinderProblem:
     rho: float
     left: BoundaryCondition
     right: BoundaryCondition
+    family: Optional[Callable[[EigenmodeBasis], "CylinderProblem"]] = None
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -274,21 +282,6 @@ class CylinderProblem:
             raise BasisMismatchError("right condition disagrees with the problem basis")
         if np.any(np.abs(_mode_eigenvalues(self.right.basis, self.basis) + lam) > 1e-12):
             raise SolverError("right condition must be expressed over -A")
-
-    def on_basis(self, basis: EigenmodeBasis) -> "CylinderProblem":
-        """Regenerate the whole problem over an extending basis.
-
-        The truncation certificate builds the doubled problem this way and
-        compares it with this one mode by mode, without solving it, unless
-        its condition data touch the added modes; then it solves it again.
-        """
-        return CylinderProblem(
-            basis,
-            self.sigma0.on_lattice(basis),
-            self.rho,
-            self.left.on_basis(basis),
-            self.right.on_basis(basis.negated()),
-        )
 
 
 def adjoint_problem(P: CylinderProblem) -> CylinderProblem:

@@ -16,28 +16,27 @@ A certified report passes two checks.  The formula check: every condition is
 in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it
 Fredholm, so the index is the APS index at the cuts plus dim W_+ - dim W_-; on
 the truncated lattice this reads ind = dim B_L + dim B_R - total_dim, and
-ker - coker must equal it.  Exact doubling: the problem is rebuilt on the
-doubled lattice but not solved.  When its condition data touch the same modes
-as before, the added modes obey the sign rule: those free at both cuts would
-join the kernel and those constrained at both the cokernel, and both counts
-must be 0.  Only conditions whose data touch the added modes (chiral and
-transmission g pair every mode) are solved again on the doubled lattice.
+ker - coker must equal it.  Exact doubling: a band-limited condition, whose
+data touch only modes with |lambda| <= band_limit, is B(a) outside the band,
+so on the doubled lattice it keeps its W, g and cut, and only the doubled
+spectrum, ``basis.extended(2)``, is built.  The added modes obey the sign
+rule: those free at both cuts would join the kernel and those constrained at
+both the cokernel, and both counts must be 0.  A problem that is not
+band-limited (chiral and transmission g pair every mode) is certified only
+through its ``family``, which builds it on the doubled lattice, where it is
+solved again.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .spectral_core import (
-    BasisMismatchError,
-    EigenmodeBasis,
-    Mode,
-    SigmaZero,
-)
+from .spectral_core import BasisMismatchError, EigenmodeBasis, Mode, SigmaZero
 from .boundary_conditions import (
+    ORTHO_TOL,
     BoundaryCondition,
     ConditionError,
     complement_condition,
@@ -52,8 +51,9 @@ class CertificateError(RuntimeError):
 
     The formula check compares ker - coker with dim B_L + dim B_R - total_dim.
     The doubling check compares ker and coker with their values on the doubled
-    lattice, counted by the sign rule on the added modes, or re-solved there
-    when the condition data touch them.
+    lattice, counted by the sign rule on the added modes, or re-solved on the
+    problem's ``family`` there.  A problem that is not band-limited and has no
+    family cannot be certified.
     """
 
 
@@ -110,32 +110,31 @@ def _formula_index(P: CylinderProblem) -> int:
     return P.left.dim() + P.right.dim() - P.basis.total_dim
 
 
-def _doubling_counts(P: CylinderProblem, P2: CylinderProblem) -> Optional[tuple]:
-    """(ker, coker) that the modes of P2 missing from P add, by the sign rule.
+def _band_limited(cond: BoundaryCondition) -> bool:
+    """True when every mode that ``cond``'s data touch has |lambda| <= band_limit."""
+    b = cond.basis
+    return all(abs(b.eigenvalue(j)) <= b.band_limit + ORTHO_TOL for j in _touched_modes(cond))
 
-    An added mode free at both cuts adds its fiber to the kernel, one
-    constrained at both adds it to the cokernel.  This is exact only when P2
-    is P plus untouched modes, so the counts are None unless every mode of P
-    keeps its eigenvalue in P2, each end's condition data touch the same modes
-    in P2 as in P (so none of the added ones), and the formula index of P2 is
-    that of P plus ker - coker.
+
+def _doubling_counts(P: CylinderProblem, b2: EigenmodeBasis) -> tuple:
+    """(ker, coker) that the modes of ``b2`` missing from P's basis add, by the sign rule.
+
+    With band-limited ends the problem on b2 keeps the W, g and cuts of P, so
+    the data touch no added mode: one free at both cuts adds its fiber to the
+    kernel, one constrained at both adds it to the cokernel.  A b2 that moves
+    a mode of P's basis raises CertificateError.
     """
-    b, b2 = P.basis, P2.basis
-    if any(m.mode_id not in b2 or b2.mode(m.mode_id) != m for m in b.modes):
-        return None
-    for end, end2 in ((P.left, P2.left), (P.right, P2.right)):
-        if _touched_modes(end2) != _touched_modes(end):
-            return None
-    coord_ids = np.array([m.mode_id for m in b2.modes])[b2.coord_mode]
-    added = ~np.isin(coord_ids, [m.mode_id for m in b.modes])
+    b = P.basis
+    moved = [m.mode_id for m in b.modes if m.mode_id not in b2 or b2.mode(m.mode_id) != m]
+    if moved:
+        raise CertificateError(
+            f"truncation certificate failed: the doubled lattice moves mode {moved[0]}"
+        )
+    added = ~np.isin(b2.mode_ids[b2.coord_mode], b.mode_ids)
     lam = b2.coord_eigenvalue[added]
-    free_left = lam < P2.left.cut
-    free_right = -lam < P2.right.cut
-    ker = int(np.sum(free_left & free_right))
-    coker = int(np.sum(~free_left & ~free_right))
-    if _formula_index(P2) != _formula_index(P) + ker - coker:
-        return None
-    return ker, coker
+    free_left = lam < P.left.cut
+    free_right = -lam < P.right.cut
+    return int(np.sum(free_left & free_right)), int(np.sum(~free_left & ~free_right))
 
 
 def _certify(P: CylinderProblem, dk: int, dc: int) -> None:
@@ -146,12 +145,17 @@ def _certify(P: CylinderProblem, dk: int, dc: int) -> None:
             f"index formula check failed: ker {dk} - coker {dc} != "
             f"dim B_L + dim B_R - total_dim = {formula}"
         )
-    P2 = P.on_basis(P.basis.extended(2))
-    added = _doubling_counts(P, P2)
-    if added is None:
-        dk2, dc2 = assemble(P2).dims()
+    b2 = P.basis.extended(2)
+    if P.family is not None:
+        dk2, dc2 = assemble(P.family(b2)).dims()
+    elif _band_limited(P.left) and _band_limited(P.right):
+        ker, coker = _doubling_counts(P, b2)
+        dk2, dc2 = dk + ker, dc + coker
     else:
-        dk2, dc2 = dk + added[0], dc + added[1]
+        raise CertificateError(
+            "truncation certificate failed: the condition data touch modes beyond the "
+            "band limit, and the problem has no family to build it on the doubled lattice"
+        )
     if (dk2, dc2) != (dk, dc):
         raise CertificateError(
             f"truncation certificate failed: ker {dk}->{dk2}, coker {dc}->{dc2}"
@@ -333,6 +337,26 @@ def split_check(P_glued: CylinderProblem, B1: BoundaryCondition) -> dict:
     }
 
 
+def _chiral_block_data(basis: EigenmodeBasis) -> tuple:
+    """(targets, blocks) of the chiral symbol, read from the mode ids of ``basis``.
+
+    Modes 4j and 4j+1 (the pair +-|b|) swap with block -i; the kernel modes
+    4j+2 and 4j+3 stay in place with blocks -i and +i.
+    """
+    targets, blocks = {}, {}
+    for j in basis.mode_ids.tolist():
+        r = j % 4
+        targets[j] = j + (1, -1, 0, 0)[r]
+        blocks[j] = (1j if r == 3 else -1j) * np.eye(1)
+    return targets, blocks
+
+
+def chiral_block_symbol(basis: EigenmodeBasis) -> SigmaZero:
+    """The skew-unitary sigma_0 of a ``chiral_block_basis`` lattice, at any truncation."""
+    targets, blocks = _chiral_block_data(basis)
+    return SigmaZero(basis, blocks, targets=targets, skew_unitary=True)
+
+
 def chiral_block_basis(
     n: int,
     block_fn: Callable[[int], complex],
@@ -344,42 +368,43 @@ def chiral_block_basis(
     The off-diagonal block of A has scalar entries block_fn(j) for |j| <= n.
     Each nonzero entry b contributes the eigenvalue pair +-|b| (mode ids 4j,
     4j+1); a zero entry contributes two kernel modes (ids 4j+2 and 4j+3, one
-    per chirality).  sigma_0 pairs the +-|b| modes and fixes the kernel modes.
+    per chirality).  sigma_0, ``chiral_block_symbol``, pairs the +-|b| modes
+    and fixes the kernel modes.
     """
-    modes = []
-    targets = {}
-    blocks = {}
-    for j in range(-n, n + 1):
-        b = complex(block_fn(j))
-        if b != 0:
-            lam = abs(b)
-            ip, im = 4 * j, 4 * j + 1
-            modes.append(Mode(ip, component_id, lam, 1))
-            modes.append(Mode(im, component_id, -lam, 1))
-            targets[ip], targets[im] = im, ip
-            blocks[ip] = -1j * np.eye(1)
-            blocks[im] = -1j * np.eye(1)
-        else:
-            iz_plus, iz_minus = 4 * j + 2, 4 * j + 3
-            modes.append(Mode(iz_plus, component_id, 0.0, 1))
-            modes.append(Mode(iz_minus, component_id, 0.0, 1))
-            targets[iz_plus] = iz_plus
-            targets[iz_minus] = iz_minus
-            blocks[iz_plus] = -1j * np.eye(1)
-            blocks[iz_minus] = 1j * np.eye(1)
 
-    def extend(factor: int) -> EigenmodeBasis:
-        return chiral_block_basis(n * factor, block_fn, band_limit, component_id)[0]
+    def lattice(size: int) -> EigenmodeBasis:
+        modes = []
+        for j in range(-size, size + 1):
+            b = complex(block_fn(j))
+            if b != 0:
+                modes.append(Mode(4 * j, component_id, abs(b), 1))
+                modes.append(Mode(4 * j + 1, component_id, -abs(b), 1))
+            else:
+                modes.append(Mode(4 * j + 2, component_id, 0.0, 1))
+                modes.append(Mode(4 * j + 3, component_id, 0.0, 1))
+        return EigenmodeBasis(modes, band_limit, extend_fn=lambda factor: lattice(size * factor))
 
-    basis = EigenmodeBasis(modes, band_limit, extend_fn=extend)
+    basis = lattice(n)
+    return basis, chiral_block_symbol(basis)
 
-    def sigma_ext(nb: EigenmodeBasis) -> SigmaZero:
-        return chiral_block_basis(
-            (max(abs(m.mode_id) for m in nb.modes)) // 4, block_fn, band_limit, component_id
-        )[1].on_basis(nb)
 
-    sigma = SigmaZero(basis, blocks, targets=targets, skew_unitary=True, extend_fn=sigma_ext)
-    return basis, sigma
+def _chiral_problem(
+    basis: EigenmodeBasis, sigma0: SigmaZero, rho: float, sign: int
+) -> CylinderProblem:
+    """The cylinder with the chiral condition of one sign at both ends.
+
+    Its ``family`` builds the same problem on a larger chiral block lattice,
+    over that lattice's own chiral symbol.
+    """
+    neg = sigma0.negated_boundary()
+    return CylinderProblem(
+        basis,
+        sigma0,
+        rho,
+        make_chiral(basis, sigma0, sign),
+        make_chiral(neg.basis, neg, sign),
+        family=lambda b2: _chiral_problem(b2, chiral_block_symbol(b2), rho, sign),
+    )
 
 
 def cobordism_check(
@@ -390,25 +415,26 @@ def cobordism_check(
     Per end, ind A^+ = dim W_+ - dim W_-; the left end uses (A, sigma_0), the
     right end the adapted pair (-A, -sigma_0).  Cross-check: the cylinder
     problem with the matching chiral condition at both ends has index 0, for
-    both chiralities.
+    both chiralities.  ``basis`` and ``sigma0`` are those of
+    ``chiral_block_basis``, whose lattice the certificate doubles.
     """
     if not sigma0.skew_unitary:
         raise ConditionError("cobordism setup needs a skew-unitary sigma_0")
     if not sigma0.eigen_negating():
         raise ConditionError("boundary operator is not in chiral normal form")
     sigma0 = sigma0.on_basis(basis)
-    neg_sigma = sigma0.negated_boundary()
-    left_plus = make_chiral(basis, sigma0, sign=1)
-    right_plus = make_chiral(neg_sigma.basis, neg_sigma, sign=1)
-    left_minus = make_chiral(basis, sigma0, sign=-1)
-    right_minus = make_chiral(neg_sigma.basis, neg_sigma, sign=-1)
+    targets, blocks = _chiral_block_data(basis)
+    if sigma0.targets != targets or not all(
+        np.array_equal(S, blocks[j]) for j, S in sigma0.blocks.items()
+    ):
+        raise ConditionError("sigma_0 is not the chiral symbol of a chiral block lattice")
+    P_plus = _chiral_problem(basis, sigma0, rho, sign=1)
+    P_minus = _chiral_problem(basis, sigma0, rho, sign=-1)
 
-    contrib_left = left_plus.dim_w_plus() - left_plus.dim_w_minus()
-    contrib_right = right_plus.dim_w_plus() - right_plus.dim_w_minus()
+    contrib_left = P_plus.left.dim_w_plus() - P_plus.left.dim_w_minus()
+    contrib_right = P_plus.right.dim_w_plus() - P_plus.right.dim_w_minus()
     total = contrib_left + contrib_right
 
-    P_plus = CylinderProblem(basis, sigma0, rho, left_plus, right_plus)
-    P_minus = CylinderProblem(basis, sigma0, rho, left_minus, right_minus)
     i_plus = index(P_plus)
     i_minus = index(P_minus)
     return {

@@ -71,9 +71,10 @@ class Mode:
 class EigenmodeBasis:
     """Finite truncation of the spectral decomposition of the boundary operator A.
 
-    ``pairings`` optionally records a mode involution (used by transmission
-    doublings and chiral families).  ``extend_fn`` regenerates the basis at a
-    larger truncation; it is what makes 2N truncation certificates possible.
+    ``pairings`` optionally records a mode involution (``doubled`` sets it for
+    transmission conditions).  ``extend_fn`` regenerates the basis at a larger
+    truncation; it says what the spectrum adds at 2N, and it is what makes
+    truncation certificates possible.
 
     Dense vectors over the basis list the fibers of ``modes`` one after the
     other.  Two read-only arrays of length ``total_dim``, built once per basis,
@@ -351,10 +352,8 @@ class SigmaZero:
         blocks: dict,
         targets: Optional[dict] = None,
         skew_unitary: bool = False,
-        extend_fn: Optional[Callable[["EigenmodeBasis"], "SigmaZero"]] = None,
     ):
         self.basis = basis
-        self.extend_fn = extend_fn
         self.targets = {m.mode_id: m.mode_id for m in basis.modes}
         if targets:
             self.targets.update(targets)
@@ -443,7 +442,6 @@ class SigmaZero:
         targets: dict,
         scale: float,
         skew_unitary: bool,
-        extend_fn=None,
     ) -> "SigmaZero":
         """A sigma_0 whose blocks a validated one gives, up to sign or adjoint,
         or that ``scalar`` builds in closed form.
@@ -455,7 +453,6 @@ class SigmaZero:
         """
         out = object.__new__(SigmaZero)
         out.basis = basis
-        out.extend_fn = extend_fn
         out.targets = {m.mode_id: targets[m.mode_id] for m in basis.modes}
         out.sources = {t: s for s, t in out.targets.items()}
         out.blocks = {m.mode_id: blocks[m.mode_id] for m in basis.modes}
@@ -488,7 +485,6 @@ class SigmaZero:
             {m.mode_id: m.mode_id for m in basis.modes},
             abs(value),
             skew,
-            extend_fn=lambda nb: SigmaZero.scalar(nb, value),
         )
 
     def tau(self, mode_id: int) -> int:
@@ -561,29 +557,14 @@ class SigmaZero:
         """The same coefficient-level map, reinterpreted over another lattice-equal basis."""
         if not self.basis.same_modes(basis):
             raise BasisMismatchError("sigma_0 cannot move to a different mode lattice")
-        return SigmaZero._derived(
-            basis, self.blocks, self.targets, self.scale, self.skew_unitary, self.extend_fn
-        )
+        return SigmaZero._derived(basis, self.blocks, self.targets, self.scale, self.skew_unitary)
 
     def negated_boundary(self) -> "SigmaZero":
         """-sigma_0 over the negated basis: the boundary symbol at the far cylinder end."""
-        nb = self.basis.negated()
         blocks = {j: -S for j, S in self.blocks.items()}
-        parent = self
-
-        def ext(new_nb: "EigenmodeBasis") -> "SigmaZero":
-            return parent.on_lattice(new_nb.negated()).negated_boundary().on_basis(new_nb)
-
-        extf = ext if self.extend_fn is not None else None
-        return SigmaZero._derived(nb, blocks, self.targets, self.scale, self.skew_unitary, extf)
-
-    def on_lattice(self, basis: EigenmodeBasis) -> "SigmaZero":
-        """Move to a lattice-equal basis, or regenerate on an extended one."""
-        if self.basis.same_modes(basis):
-            return self.on_basis(basis)
-        if self.extend_fn is not None:
-            return self.extend_fn(basis)
-        raise BasisMismatchError("sigma_0 carries no extension rule for this lattice")
+        return SigmaZero._derived(
+            self.basis.negated(), blocks, self.targets, self.scale, self.skew_unitary
+        )
 
 
 def sobolev_norm(phi: BoundarySection, s: float) -> float:

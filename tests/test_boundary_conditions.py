@@ -23,7 +23,7 @@ from apslab.boundary_conditions import (
     quotient_dim,
     seeded_graph_condition,
 )
-from apslab.index_calculus import chiral_block_basis
+from apslab.index_calculus import chiral_block_basis, chiral_block_symbol
 from apslab.spectral_core import (
     BoundarySection,
     EigenmodeBasis,
@@ -175,8 +175,7 @@ class TestChiral:
     def test_regenerates_on_extended_lattice(self, basis):
         sigma = negating_sigma(basis)
         B = make_chiral(basis, sigma, sign=1)
-        # scalar blocks with an explicit pairing carry no extension closure,
-        # so regeneration only works on the same lattice
+        # on_basis transfers the condition's data to a lattice-equal basis
         again = B.on_basis(EigenmodeBasis.lattice(8, band_limit=4.0))
         assert again.dim() == B.dim()
 
@@ -292,12 +291,12 @@ class TestDeform:
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_rebuilt_on_a_doubled_lattice(self, s):
-        # the chiral rule rebuilds the condition at 2N, then s scales its g
+        # the chiral condition built on the 2N chiral symbol, then s scales its g
         def block(j):
             return 0.0 if j == 0 else 1j * j
 
-        basis, sigma = chiral_block_basis(3, block, band_limit=2.0)
-        moved = deform(make_chiral(basis, sigma), s).on_basis(basis.extended(2))
+        b2 = chiral_block_basis(3, block, band_limit=2.0)[0].extended(2)
+        moved = deform(make_chiral(b2, chiral_block_symbol(b2)), s)
         fresh = deform(make_chiral(*chiral_block_basis(6, block, band_limit=2.0)), s)
         assert moved.basis.same_modes(fresh.basis)
         assert moved.cut == fresh.cut

@@ -2,11 +2,15 @@
 
 A certified ``index()`` checks ker - coker against the index formula
 dim B_L + dim B_R - total_dim, and counts what the doubled lattice adds by the
-per-mode sign rule instead of solving it.  ``full_resolve`` solves the whole
-problem again at 2N; it is the reference those counts must equal.  Tests
-parametrized by ``route`` run the production ``index()`` ("dense") and the
-banded test oracle ("banded").
+per-mode sign rule instead of solving it.  ``full_resolve`` moves the
+conditions' data onto the doubled lattice and solves that problem; it is the
+reference those counts must equal.  A problem that is not band-limited is
+solved again at 2N through its ``family``.  Tests parametrized by ``route``
+run the production ``index()`` ("dense") and the banded test oracle
+("banded").
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from apslab.boundary_conditions import (
     deform,
     make_chiral,
     make_generalized_aps,
+    make_transmission,
     seeded_graph_condition,
 )
 from apslab.cylinder_solver import CylinderProblem, CylinderSection, adjoint_problem, solve_bvp
@@ -26,6 +31,8 @@ from apslab.index_calculus import (
     CertificateError,
     _certify,
     _doubling_counts,
+    _formula_index,
+    _touched_modes,
     chiral_block_basis,
     cobordism_check,
     index,
@@ -36,8 +43,8 @@ from apslab.spectral_core import EigenmodeBasis, SigmaZero
 CUTS = [-100.0, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 100.0]
 
 
-def problem(basis, left, right, rho=1.0):
-    return CylinderProblem(basis, SigmaZero.scalar(basis, 1j), rho, left, right)
+def problem(basis, left, right, rho=1.0, family=None):
+    return CylinderProblem(basis, SigmaZero.scalar(basis, 1j), rho, left, right, family)
 
 
 def aps_problem(basis, a, b):
@@ -59,16 +66,30 @@ def profile_terms(sec):
     return {mid: [(p.breaks, p.pieces) for p in profs] for mid, profs in sec.profiles.items()}
 
 
+def doubled(P):
+    """P on the doubled lattice, its conditions' W, g and cuts moved there unchanged."""
+    b2 = P.basis.extended(2)
+    return problem(b2, P.left.on_basis(b2), P.right.on_basis(b2.negated()), P.rho)
+
+
 def full_resolve(P, route="dense"):
-    """(dim ker, dim coker) of the whole problem rebuilt and solved on the doubled lattice."""
-    return ker_coker(P.on_basis(P.basis.extended(2)), route)
+    """(dim ker, dim coker) of the doubled problem, solved."""
+    return ker_coker(doubled(P), route)
 
 
 def exact_doubled(P, route="dense"):
-    """(dim ker, dim coker) on the doubled lattice from the sign-rule counts of the added modes."""
+    """(dim ker, dim coker) on the doubled lattice from the sign-rule counts of the added modes.
+
+    The counts rest on two identities, asserted here: each end's data touch
+    the same modes on the doubled lattice, and the formula index grows by
+    exactly ker - coker of the added modes.
+    """
     ker, coker = ker_coker(P, route)
-    added = _doubling_counts(P, P.on_basis(P.basis.extended(2)))
-    assert added is not None, "the exact doubling path was not taken"
+    added = _doubling_counts(P, P.basis.extended(2))
+    P2 = doubled(P)
+    for end, end2 in ((P.left, P2.left), (P.right, P2.right)):
+        assert _touched_modes(end2) == _touched_modes(end)
+    assert _formula_index(P2) == _formula_index(P) + added[0] - added[1]
     return ker + added[0], coker + added[1]
 
 
@@ -162,29 +183,36 @@ class TestCertificateCatches:
             _certify(P, 4, 1)
         assert index(P).index == 2
 
-    def test_regenerated_condition_that_moves_its_cut_is_resolved(self):
-        # the regenerated left cut frees mode 1 on the doubled lattice, so the
-        # formula index of P2 is not that of P plus the added modes' counts
-        basis = EigenmodeBasis.lattice(8, band_limit=4.0)
-        nb = basis.negated()
-        left = BoundaryCondition(
-            basis, 0.5, provenance="aps", regen=lambda b: make_generalized_aps(b, 1.5)
+    def test_doubled_lattice_that_moves_a_mode_is_refused(self):
+        # the sign-rule counts assume the old modes keep their eigenvalues at 2N
+        base = EigenmodeBasis.lattice(4, band_limit=2.0)
+        basis = EigenmodeBasis(
+            base.modes, 2.0, extend_fn=lambda f: EigenmodeBasis.lattice(4 * f, 0.1, band_limit=2.0)
         )
-        P = problem(basis, left, make_generalized_aps(nb, nb.cut_above(0.0)))
-        assert _doubling_counts(P, P.on_basis(basis.extended(2))) is None
-        with pytest.raises(CertificateError, match=r"ker 1->2, coker 0->0"):
+        P = aps_problem(basis, 0.5, basis.negated().cut_above(0.0))
+        with pytest.raises(CertificateError, match="the doubled lattice moves mode -4"):
             index(P)
+
+    def test_regenerated_condition_that_moves_its_cut_is_resolved(self):
+        # the family's left cut frees mode 1 on the doubled lattice, which the
+        # sign-rule counts of the added modes cannot see; the family is solved
+        basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+        right_cut = basis.negated().cut_above(0.0)
+
+        def aps_at(left_cut):
+            return lambda b: problem(
+                b, make_generalized_aps(b, left_cut), make_generalized_aps(b.negated(), right_cut)
+            )
+
+        P = aps_at(0.5)(basis)
+        assert _doubling_counts(P, basis.extended(2)) == (0, 0)
+        with pytest.raises(CertificateError, match=r"ker 1->2, coker 0->0"):
+            index(dataclasses.replace(P, family=aps_at(1.5)))
 
     def test_chiral_conditions_are_resolved_on_the_doubled_lattice(self, monkeypatch):
         # chiral g pairs every mode, so the added modes are touched and the
         # doubling cannot be counted by the sign rule
         basis, sigma = chiral_block_basis(4, lambda j: 1j * j, band_limit=2.0)
-        neg = sigma.negated_boundary()
-        P = CylinderProblem(
-            basis, sigma, 1.0, make_chiral(basis, sigma), make_chiral(neg.basis, neg)
-        )
-        P2 = P.on_basis(P.basis.extended(2))
-        assert _doubling_counts(P, P2) is None
         calls = []
         real = index_calculus.assemble
         monkeypatch.setattr(
@@ -194,8 +222,90 @@ class TestCertificateCatches:
         assert rep["pass"], rep
         assert all(r.truncation_certificate["doubled_agrees"] is True for r in rep["reports"])
         # index_plus and index_minus each assemble at D and at 2N
-        D, D2 = basis.total_dim, P2.basis.total_dim
+        D, D2 = basis.total_dim, basis.extended(2).total_dim
         assert sorted(calls) == [D, D, D2, D2]
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("chiral", lambda: chiral_problem(chiral_block_basis(4, lambda j: 1j * j, 2.0), 1)),
+            ("transmission", lambda: transmission_problem(
+                EigenmodeBasis.lattice(4, shift=0.3, band_limit=2.0).doubled()
+            )),
+        ],
+    )
+    def test_not_band_limited_without_a_family_is_refused(self, name, build):
+        # their g pairs every mode, so the doubled spectrum alone cannot certify them
+        P = build()
+        assert P.family is None
+        assert index(P, certify=False).index == _formula_index(P)
+        with pytest.raises(CertificateError, match="no family"):
+            index(P)
+
+
+def chiral_problem(setup, sign, rho=1.0):
+    """The chiral problem of one sign on a chiral block lattice, with no family."""
+    basis, sigma = setup
+    neg = sigma.negated_boundary()
+    return CylinderProblem(
+        basis, sigma, rho, make_chiral(basis, sigma, sign), make_chiral(neg.basis, neg, sign)
+    )
+
+
+def transmission_problem(db):
+    return problem(db, make_transmission(db), make_transmission(db.negated()))
+
+
+def same_condition(B, C):
+    """Bit-for-bit equality of two conditions' basis, cut, W and g."""
+    return (
+        B.basis.modes == C.basis.modes
+        and B.cut == C.cut
+        and B.provenance == C.provenance
+        and np.array_equal(B.w_plus, C.w_plus)
+        and np.array_equal(B.w_minus, C.w_minus)
+        and B.g.tag == C.g.tag
+        and list(B.g.entries) == list(C.g.entries)
+        and all(np.array_equal(B.g.entries[k], C.g.entries[k]) for k in B.g.entries)
+    )
+
+
+class TestCobordismFamily:
+    """The problems that cobordism_check's families build on the doubled lattice
+    are those that a fresh chiral_block_basis(2n) gives, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [lambda j: 1j * j + 0.5, lambda j: 0.0 if j in (-1, 0, 2) else 1j * j],
+        ids=["no_kernel", "kernel_blocks"],
+    )
+    def test_family_at_2n_is_a_fresh_problem(self, block, monkeypatch):
+        n, band, rho = 3, 1.5, 0.7
+        basis, sigma = chiral_block_basis(n, block, band)
+        D2 = basis.extended(2).total_dim
+        built = []
+        real = index_calculus.assemble
+        monkeypatch.setattr(
+            index_calculus,
+            "assemble",
+            lambda Q, **kw: (built.append(Q) if Q.basis.total_dim == D2 else None) or real(Q, **kw),
+        )
+        assert cobordism_check(basis, sigma, rho)["pass"]
+        assert len(built) == 2
+        for sign, got in zip((1, -1), built):
+            want = chiral_problem(chiral_block_basis(2 * n, block, band), sign, rho)
+            assert got.basis.modes == want.basis.modes and got.rho == want.rho
+            assert list(got.sigma0.targets.items()) == list(want.sigma0.targets.items())
+            assert list(got.sigma0.blocks) == list(want.sigma0.blocks)
+            assert all(
+                np.array_equal(got.sigma0.blocks[j], want.sigma0.blocks[j])
+                for j in want.sigma0.blocks
+            )
+            assert got.sigma0.scale == want.sigma0.scale and got.sigma0.skew_unitary
+            assert same_condition(got.left, want.left)
+            assert same_condition(got.right, want.right)
+            # kernel blocks give the chiral conditions W data to compare
+            assert (got.left.dim_w_plus() + got.left.dim_w_minus() > 0) == (block(0) == 0)
 
 
 class TestCertificateWork:

@@ -257,6 +257,19 @@ class TestFredholmPairs:
             pair_index_identity_check(P, B1, B2)
         assert exc.value.norm_product >= 1.0
 
+    def test_empty_subspace(self):
+        # a span with no columns once had 0 rows, and np.column_stack raised
+        b = EigenmodeBasis.lattice(4, band_limit=2.0)
+        empty = ClosedSubspace(make_generalized_aps(b, -100.0))
+        upper = ClosedSubspace(make_generalized_aps(b, 0.5), complement=True)
+        assert empty.matrix().shape == (9, 0)
+        # nothing meets the 4 modes above 0.5, and the 5 below it are missed
+        assert fredholm_pair(empty, upper) == FredholmPairReport(0, 5, -5)
+        empty_perp = ClosedSubspace(make_generalized_aps(b, 100.0), complement=True)
+        lower = ClosedSubspace(make_generalized_aps(b, 0.5))
+        assert empty_perp.matrix().shape == (9, 0)
+        assert fredholm_pair(lower, empty_perp) == FredholmPairReport(0, 4, -4)
+
     def test_incompatible_tails_rejected(self, basis):
         X = ClosedSubspace(make_generalized_aps(basis, 0.0))
         Y = ClosedSubspace(make_generalized_aps(basis, 1.0))
@@ -336,6 +349,24 @@ class TestCobordism:
     def test_requires_chiral_normal_form(self, basis):
         with pytest.raises(ConditionError):
             cobordism_check(basis, SigmaZero.scalar(basis, 1j))
+
+    def test_requires_the_chiral_block_symbol(self, basis):
+        # skew-unitary and eigen-negating, but not the symbol whose doubled
+        # lattice the certificate builds: refused before any index is taken
+        cb, sigma = chiral_block_basis(4, lambda j: 1j * j, band_limit=2.0)
+        flipped = SigmaZero(
+            cb, {j: -S for j, S in sigma.blocks.items()}, targets=sigma.targets, skew_unitary=True
+        )
+        negating = SigmaZero(
+            basis,
+            {m.mode_id: 1j * np.eye(1) for m in basis.modes},
+            targets={m.mode_id: -m.mode_id for m in basis.modes},
+            skew_unitary=True,
+        )
+        for b, s in ((cb, flipped), (basis, negating)):
+            assert s.skew_unitary and s.eigen_negating()
+            with pytest.raises(ConditionError, match="not the chiral symbol"):
+                cobordism_check(b, s)
 
 
 class TestAdjointSymmetry:

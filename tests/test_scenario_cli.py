@@ -272,6 +272,17 @@ class TestRunners:
         assert rep.passed and rep.outputs["refused"]
         assert rep.outputs["norm_product"] >= 1.0
 
+    def test_fredholm_pair_with_an_empty_subspace(self):
+        # B(-100) has no columns; its span once had 0 rows and the pair raised ValueError
+        payload = {
+            "spectrum": {"n": 4, "band_limit": 2.0},
+            "first": {"type": "aps", "cut": -100},
+            "second": {"type": "aps", "cut": 0.5},
+        }
+        rep = run(scenario("fredholm_pair", payload))
+        assert rep.passed, rep.outputs
+        assert rep.outputs == {"dim_intersection": 0, "codim_sum": 5, "index": -5}
+
     def test_runtime_errors_become_failed_reports(self):
         payload = {"spectrum": {"band_limit": 2.0}, "cut1": 1.0, "cut2": 1.0}
         rep = run(scenario("norm_probe", payload))

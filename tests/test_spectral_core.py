@@ -223,9 +223,6 @@ class TestSigmaZero:
         assert s.targets == ref.targets and s.sources == ref.sources
         assert s.scale == ref.scale
         assert s.skew_unitary is ref.skew_unitary
-        big = s.on_lattice(basis.extended(2))
-        assert big.basis.total_dim == basis.extended(2).total_dim
-        assert np.array_equal(big.blocks[8], value * np.eye(fiber_dim))
 
     @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, complex(1.0, math.nan)])
     def test_closed_form_scalar_rejects_what_the_constructor_rejects(self, value):
@@ -308,13 +305,6 @@ class TestSigmaZero:
         for m in shifted.modes:
             assert np.allclose(ss.blocks[m.mode_id], s.blocks[m.mode_id])
             assert ss.basis.eigenvalue(m.mode_id) == m.eigenvalue
-
-    def test_negated_boundary_extends(self, basis):
-        s = SigmaZero.scalar(basis, 1j)
-        nbs = s.negated_boundary()
-        big = basis.extended(2).negated()
-        ext = nbs.on_lattice(big)
-        assert np.allclose(ext.blocks[0], -1j * np.eye(1))
 
     def test_mode_pairing_bijection_required(self, basis):
         blocks = {m.mode_id: np.eye(1) for m in basis.modes}

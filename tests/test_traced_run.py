@@ -8,7 +8,10 @@ runs one round of a workload from a copy of ``src/`` and ``apsbench/``, so
 nothing is written into the checkout.  The per-operation counts of a traced
 ``index_fresh`` round must also be the same at two seeds; its index path must
 build no adjoint problem, no adjoint condition and no validated sigma_0, and
-the solve path no adjoint problem.
+its certificate no basis but the doubled lattice; the solve path builds no
+adjoint problem.  A ``scenario_batch`` round re-runs every ``index()`` call of
+the batch with ``certify=True``, so it fails if the program passes ``index()``
+a problem it cannot certify.
 """
 
 import ast
@@ -54,7 +57,7 @@ def traced(tmp_path_factory):
     return run
 
 
-@pytest.mark.parametrize("workload", ["index_fresh", "solve_verify"])
+@pytest.mark.parametrize("workload", ["index_fresh", "scenario_batch", "solve_verify"])
 def test_traced_round_reports_every_layer_metric(workload, traced):
     out = traced(workload, 1)
     assert out["correct"] is True
@@ -82,14 +85,17 @@ def test_traced_counts_repeat_across_seeds(traced):
 
 def test_traced_index_path_builds_no_adjoint(traced):
     # the cokernel is read from the problem's own spans and SigmaZero.scalar is
-    # built in closed form; building either adjoint again shows in these counts
+    # built in closed form; building either adjoint again shows in these counts.
+    # The three bases are P's, its negation and the certificate's doubled
+    # lattice: a band-limited problem is not rebuilt at 2N.
     metrics = traced("index_fresh", 1)["metrics"]
     names = [
         "cylinder_solver.adjoint_problem_calls",
         "boundary_conditions.adjoint_calls",
         "spectral_core.sigma_builds",
+        "spectral_core.basis_builds",
         "cylinder_solver.constraint_cells",
     ]
-    assert {n: metrics[n]["value"] for n in names} == dict(zip(names, [0, 0, 0, 132098]))
+    assert {n: metrics[n]["value"] for n in names} == dict(zip(names, [0, 0, 0, 3, 132098]))
     solve = traced("solve_verify", 1)["metrics"]
     assert solve["cylinder_solver.adjoint_problem_calls"]["value"] == 0
