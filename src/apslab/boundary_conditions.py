@@ -157,39 +157,113 @@ def _coupled_block(M: np.ndarray) -> tuple:
     return cols, nz[:, cols].any(axis=1)
 
 
-def _orthonormalize(parts: list, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of ``parts``; deterministic.
+def _column_norms(X: np.ndarray, rows: np.ndarray, height: int, order: str = "F") -> np.ndarray:
+    """The norms ``np.linalg.norm(axis=0)`` gives, bit for bit, for the columns
+    of the height-row matrix, in memory ``order``, that holds X on ``rows``.
 
-    ``parts`` holds dense vectors and column blocks; empty blocks are skipped.
-    A column alone on its rows is normalized as it stands; the coupled block
-    goes through a pivoted QR restricted to the rows it touches.  A column is
-    kept when its norm, or its diagonal entry of R, exceeds ``tol`` times the
-    largest column norm, the first diagonal entry of a pivoted QR of all of
-    them.  The uncoupled columns come first, in input order.  The result has
-    the row count of ``parts``, even when it has no columns.
+    Numpy sums the squares in an order set by the layout and by where the
+    nonzero entries sit, but a sum of at most two nonzero terms is one rounding
+    in any order.  Only columns with more are summed in a matrix of that
+    height and layout.
     """
-    height = parts[0].shape[0] if parts else 0
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return np.zeros((height, 0), dtype=complex)
-    M = np.column_stack(parts)
-    cols, rows = _coupled_block(M)
-    lone = M[:, ~cols]
-    norms = np.linalg.norm(lone, axis=0)
+    norms = np.sqrt((X.conj() * X).real.sum(axis=0))
+    many = (np.count_nonzero(X, axis=0) > 2).nonzero()[0]
+    if many.size:
+        full = np.zeros((height, max(many.size, 2)), dtype=complex, order=order)
+        full[rows, : many.size] = X[:, many]
+        norms[many] = np.linalg.norm(full, axis=0)[: many.size]
+    return norms
+
+
+def _orthonormalize(
+    M: np.ndarray, rows: np.ndarray, height: int, units: bool = False, tol: float = RANK_TOL
+) -> tuple:
+    """(q, lone, floor): orthonormal columns spanning the columns of M, a block
+    on the coordinates ``rows`` of a space of ``height`` coordinates.
+
+    A column alone on its rows is normalized as it stands; the coupled block
+    goes through a pivoted QR restricted to the rows it touches.  With
+    ``units``, implied unit columns off ``rows`` take part, each alone on its
+    row with norm 1.0.  A column is kept when its norm, or its diagonal entry of
+    R, exceeds ``floor``: ``tol`` times the largest column norm, the first
+    diagonal entry of a pivoted QR of all of them.  q holds the kept lone
+    columns first, in input order (at the positions ``lone`` of M), then the QR
+    columns, with entries below 1e-14 chopped so that sparse mode support
+    survives exactly.  Norms are summed as over all ``height`` coordinates, so
+    q is, on ``rows``, what the full columns would give, bit for bit.
+    """
+    cols, brows = _coupled_block(M)
+    lone = (~cols).nonzero()[0]
+    norms = _column_norms(M[:, lone], rows, height)
     diag = np.zeros(0)
     if cols.any():
-        qb, r, _ = sla.qr(M[np.ix_(rows, cols)], mode="economic", pivoting=True)
+        qb, r, _ = sla.qr(M[np.ix_(brows, cols)], mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
-    floor = tol * max(norms.max(initial=0.0), diag.max(initial=0.0), 1e-300)
+    floor = tol * max(norms.max(initial=0.0), diag.max(initial=0.0), float(units), 1e-300)
     keep = norms > floor
-    k, rank = int(keep.sum()), int(np.sum(diag > floor))
-    q = np.zeros((M.shape[0], k + rank), dtype=complex)
-    q[:, :k] = lone[:, keep] / norms[keep]
+    lone = lone[keep]
+    rank = int(np.sum(diag > floor))
+    q = np.zeros((M.shape[0], lone.size + rank), dtype=complex)
+    q[:, : lone.size] = M[:, lone] / norms[keep]
     if rank:
-        q[rows, k:] = qb[:, :rank]
-    # chop Householder round-off, so sparse mode support survives exactly
+        q[brows, lone.size :] = qb[:, :rank]
     q[np.abs(q) < 1e-14] = 0
-    return q
+    return q, lone, floor
+
+
+def _mode_positions(basis: EigenmodeBasis, other: EigenmodeBasis) -> np.ndarray:
+    """Index array p with other.modes[p[i]] the mode of basis.modes[i], on one lattice."""
+    p = np.empty(len(basis.modes), dtype=int)
+    p[np.argsort(basis.mode_ids)] = np.argsort(other.mode_ids)
+    return p
+
+
+def _coords_in(src: EigenmodeBasis, dst: EigenmodeBasis, coords: np.ndarray) -> np.ndarray:
+    """The coordinates of ``dst`` that hold the coordinates ``coords`` of ``src``,
+    a basis on the same mode lattice."""
+    if np.array_equal(src.mode_ids, dst.mode_ids):
+        return coords
+    mode = src.coord_mode[coords]
+    return dst.mode_offsets[_mode_positions(src, dst)[mode]] + coords - src.mode_offsets[mode]
+
+
+@dataclasses.dataclass(frozen=True)
+class Span:
+    """Orthonormal columns over the ``total_dim`` coordinates of a basis, most
+    of them unit vectors.
+
+    Column ``unit_pos[i]`` is the unit vector at coordinate ``unit[i]``, and
+    column ``block_pos[j]`` is column j of ``block`` on the coordinates
+    ``rows``, zero elsewhere.  Only the coordinates that a condition's W or g
+    touch are ever dense.  ``dense()`` gives the full array.
+    """
+
+    total_dim: int
+    unit: np.ndarray
+    unit_pos: np.ndarray
+    rows: np.ndarray
+    block: np.ndarray
+    block_pos: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.total_dim, self.unit.size + self.block.shape[1])
+
+    def dense(self) -> np.ndarray:
+        Q = np.zeros(self.shape, dtype=complex)
+        Q[self.unit, self.unit_pos] = 1.0
+        Q[np.ix_(self.rows, self.block_pos)] = self.block
+        return Q
+
+    def touching(self, coords: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The columns that touch the sorted coordinates ``coords``, on them, as a
+        dense array; ``unit`` and ``rows`` are the span's own coordinates,
+        expressed in the coordinates of ``coords``."""
+        inner = np.flatnonzero(np.isin(unit, coords))
+        X = np.zeros((coords.size, self.block.shape[1] + inner.size), dtype=complex)
+        X[np.searchsorted(coords, rows), : self.block.shape[1]] = self.block
+        X[np.searchsorted(coords, unit[inner]), self.block.shape[1] + np.arange(inner.size)] = 1.0
+        return X
 
 
 class BoundaryCondition:
@@ -213,31 +287,26 @@ class BoundaryCondition:
             self.g = self.g.on_basis(basis)
         self.provenance = provenance
 
-        wp = [w.on_basis(basis).to_dense() for w in w_plus]
-        wm = [w.on_basis(basis).to_dense() for w in w_minus]
-        self.w_plus = _orthonormalize(wp)
-        self.w_minus = _orthonormalize(wm)
-        if len(wp) != self.w_plus.shape[1] or len(wm) != self.w_minus.shape[1]:
-            raise ConditionError("W family is linearly dependent")
+        self.w_plus = self._family(w_plus)
+        self.w_minus = self._family(w_minus)
         self._validate()
 
     # -- structural helpers ------------------------------------------------
     def _side_mask(self, lower: bool) -> np.ndarray:
         return (self.basis.coord_eigenvalue < self.cut) == lower
 
-    def _side_columns(self, lower: bool) -> np.ndarray:
-        """The unit vectors of one side of the cut with W_plus (+) W_minus projected out.
-
-        Columns whose norm falls below RANK_TOL (unit vectors inside the W span)
-        are dropped.
-        """
-        idx = np.flatnonzero(self._side_mask(lower))
-        C = np.zeros((self.basis.total_dim, idx.size), dtype=complex)
-        C[idx, np.arange(idx.size)] = 1.0
-        W = self.w_all()
-        if W.size:
-            C -= W @ W[idx, :].conj().T
-        return C[:, ~(np.linalg.norm(C, axis=0) < RANK_TOL)]
+    def _family(self, sections: Iterable[BoundarySection]) -> np.ndarray:
+        """Orthonormal columns over every coordinate spanning the W vectors given."""
+        D = self.basis.total_dim
+        vecs = [w.on_basis(self.basis).to_dense() for w in sections]
+        W = np.column_stack(vecs) if vecs else np.zeros((D, 0), dtype=complex)
+        rows = np.flatnonzero(np.any(W != 0, axis=1))
+        q = _orthonormalize(W[rows], rows, D)[0]
+        if q.shape[1] != len(vecs):
+            raise ConditionError("W family is linearly dependent")
+        W = np.zeros((D, q.shape[1]), dtype=complex)
+        W[rows] = q
+        return W
 
     def _validate(self):
         basis = self.basis
@@ -301,24 +370,81 @@ class BoundaryCondition:
     def w_minus_lower_dim(self) -> int:
         return self._w_side_dim(self.w_minus, lower=True)
 
-    def span_matrix(self) -> np.ndarray:
+    def span_matrix(self) -> Span:
         """Orthonormal columns spanning B within the truncated trace space."""
-        C = self._side_columns(lower=True)
-        # v -> v + g v: g moves lower-side rows into upper-side rows, so C can
-        # be updated in place
-        for (tgt, src), block in self.g.entries.items():
-            ot, os = self.basis.offset(tgt), self.basis.offset(src)
-            C[ot : ot + block.shape[0]] += block @ C[os : os + block.shape[1]]
-        return _orthonormalize([C, self.w_plus])
+        return self._span(lower=True)
 
-    def perp_span_matrix(self) -> np.ndarray:
+    def perp_span_matrix(self) -> Span:
         """Orthonormal columns spanning the L^2-orthocomplement W_minus (+) {u - g* u}."""
-        C = self._side_columns(lower=False)
-        # u -> u - g* u: g* moves upper-side rows into lower-side rows
+        return self._span(lower=False)
+
+    def _span(self, lower: bool) -> Span:
+        """``span_matrix`` (lower) or ``perp_span_matrix``, built from (cut, W, g).
+
+        Its columns orthonormalize the side columns, then W_plus (lower) or
+        W_minus.  A side column is a unit vector e_j of one side of the cut with
+        W_plus (+) W_minus projected out (dropped below RANK_TOL), then mapped by
+        v -> v + g v (lower) or u -> u - g* u.  A coordinate that no W vector and
+        no g entry touches keeps e_j, a unit column.  The other columns take the
+        arithmetic of a dense build on the touched coordinates alone, so every
+        entry and the column order (see ``_orthonormalize``) are those of the
+        dense build, bit for bit.
+        """
+        basis, D = self.basis, self.basis.total_dim
+        on_side = self._side_mask(lower)
+        side = on_side.nonzero()[0]
+        W = self.w_all()
+        in_w = np.any(W != 0, axis=1)
+        wrows = in_w.nonzero()[0]
+        gmodes = self.g.source_ids() | self.g.target_ids()
+        in_g = np.zeros(len(basis.modes), dtype=bool)
+        in_g[basis.coord_mode[np.fromiter(map(basis.offset, gmodes), int, len(gmodes))]] = True
+        touches = in_w | in_g[basis.coord_mode]
+        rows = touches.nonzero()[0]
+        at = np.zeros(D, dtype=int)  # the position of each touched coordinate in rows
+        at[rows] = np.arange(rows.size)
+        touched = rows[on_side[rows]]
+        C = np.zeros((rows.size, touched.size), dtype=complex)
+        C[at[touched], np.arange(touched.size)] = 1.0
+        kept = on_side.copy()  # the side columns that survive the W projection
+        wside = in_w[touched].nonzero()[0]
+        if wside.size:
+            # The W rows of the dense product W W[side]^*.  zgemm's bits depend on
+            # its column count, so that is kept; from two rows up, not on its rows.
+            top = wrows if wrows.size > 1 else np.repeat(wrows, 2)
+            X = W[top] @ W[side].conj().T
+            C[at[wrows]] -= X[: wrows.size, np.searchsorted(side, touched)]
+            order = "C" if side.size > 1 else "F"
+            survive = np.ones(touched.size, dtype=bool)
+            survive[wside] = ~(_column_norms(C[:, wside], rows, D, order) < RANK_TOL)
+            kept[touched[~survive]] = False
+            C, touched = C[:, survive], touched[survive]
         for (tgt, src), block in self.g.entries.items():
-            ot, os = self.basis.offset(tgt), self.basis.offset(src)
-            C[os : os + block.shape[1]] -= block.conj().T @ C[ot : ot + block.shape[0]]
-        return _orthonormalize([C, self.w_minus])
+            t, s = at[basis.offset(tgt)], at[basis.offset(src)]
+            if lower:
+                C[t : t + block.shape[0]] += block @ C[s : s + block.shape[1]]
+            else:
+                C[s : s + block.shape[1]] -= block.conj().T @ C[t : t + block.shape[0]]
+        family = (self.w_plus if lower else self.w_minus)[rows]
+        unit = (on_side & ~touches).nonzero()[0]
+        q, lone, floor = _orthonormalize(np.column_stack([C, family]), rows, D, unit.size > 0)
+        if not 1.0 > floor:  # a lone column of norm 1/RANK_TOL or more drops them
+            unit = unit[:0]
+        # input positions: the kept side columns in coordinate order, then the family
+        rank = np.cumsum(kept) - 1
+        lone = np.concatenate([rank[touched], kept.sum() + np.arange(family.shape[1])])[lone]
+        unit_in = rank[unit]
+        return Span(
+            D,
+            unit,
+            np.arange(unit.size) + np.searchsorted(lone, unit_in),
+            rows,
+            q,
+            np.concatenate([
+                np.arange(lone.size) + np.searchsorted(unit_in, lone),
+                unit.size + np.arange(lone.size, q.shape[1]),
+            ]),
+        )
 
     def graph_projector_apply(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto graph(g) inside V_- (+) V_+, in closed form.
@@ -573,14 +699,26 @@ def deform(B: BoundaryCondition, s: float) -> BoundaryCondition:
 
 
 def quotient_dim(B1: BoundaryCondition, B2: BoundaryCondition) -> int:
-    """dim(B2 / B1) for nested conditions B1 subset of B2 over the same basis."""
+    """dim(B2 / B1) for nested conditions B1 subset of B2 over the same basis.
+
+    B1 lies in B2 when every column x of span(B1) has a distance
+    ||perp_span(B2)^* x|| from B2 of at most MEMBERSHIP_TOL ||x||.  The product
+    is taken on the coordinates that either span touches; a unit column of
+    span(B1) off them meets perp_span(B2) only in a unit column at its own
+    coordinate.
+    """
     if not B1.basis.same_modes(B2.basis):
         raise BasisMismatchError("conditions live over different mode lattices")
-    S1 = B1.span_matrix()
-    for i in range(S1.shape[1]):
-        sec = BoundarySection.from_dense(B1.basis, S1[:, i])
-        if not B2.membership(sec.on_basis(B2.basis)):
-            raise ConditionError("conditions are not nested: a generator of B1 is not in B2")
+    S, N = B1.span_matrix(), B2.perp_span_matrix()
+    unit = _coords_in(B1.basis, B2.basis, S.unit)
+    rows = _coords_in(B1.basis, B2.basis, S.rows)
+    near = np.union1d(rows, N.rows)
+    X = S.touching(near, unit, rows)
+    dist = np.linalg.norm(N.touching(near, N.unit, N.rows).conj().T @ X, axis=0)
+    if np.any(dist > MEMBERSHIP_TOL * np.linalg.norm(X, axis=0)) or np.any(
+        np.isin(unit[~np.isin(unit, near)], N.unit)
+    ):
+        raise ConditionError("conditions are not nested: a generator of B1 is not in B2")
     diff = B2.dim() - B1.dim()
     if diff < 0:  # pragma: no cover - excluded by the membership check
         raise ConditionError("nested conditions with negative quotient dimension")

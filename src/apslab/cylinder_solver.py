@@ -23,7 +23,15 @@ from .spectral_core import (
     SigmaZero,
     check_norm,
 )
-from .boundary_conditions import BoundaryCondition, _coupled_block, adjoint
+from .boundary_conditions import (
+    BoundaryCondition,
+    Span,
+    _column_norms,
+    _coords_in,
+    _coupled_block,
+    _mode_positions,
+    adjoint,
+)
 
 RANK_THRESHOLD = 1e-9  # relative singular-value cutoff for rank decisions
 CONSISTENCY_TOL = 1e-9
@@ -233,13 +241,6 @@ def extension_apply(phi: BoundarySection, r: float, rho: float) -> CylinderSecti
     return CylinderSection(phi.basis, rho, out)
 
 
-def _mode_positions(basis: EigenmodeBasis, other: EigenmodeBasis) -> np.ndarray:
-    """Index array p with other.modes[p[i]] the mode of basis.modes[i], on one lattice."""
-    p = np.empty(len(basis.modes), dtype=int)
-    p[np.argsort(basis.mode_ids)] = np.argsort(other.mode_ids)
-    return p
-
-
 def _mode_eigenvalues(other: EigenmodeBasis, basis: EigenmodeBasis) -> np.ndarray:
     """The eigenvalues that ``other`` gives the modes of ``basis``, in basis order."""
     return other.coord_eigenvalue[other.mode_offsets[_mode_positions(basis, other)]]
@@ -315,88 +316,132 @@ def _homogeneous_profile(lam: float, rho: float) -> Profile:
 
 
 def _homogeneous_scales(basis: EigenmodeBasis, rho: float) -> tuple:
-    """Per-coordinate values of the normalized homogeneous solutions at t=0 and t=rho."""
-    d0 = np.zeros(basis.total_dim)
-    dr = np.zeros(basis.total_dim)
-    for m in basis.modes:
-        off = basis.offset(m.mode_id)
-        lam = m.eigenvalue
-        if lam >= 0:
-            v0, vr = 1.0, math.exp(-lam * rho)
-        else:
-            v0, vr = math.exp(lam * rho), 1.0
-        d0[off : off + m.fiber_dim] = v0
-        dr[off : off + m.fiber_dim] = vr
-    return d0, dr
+    """Per-coordinate values of the normalized homogeneous solutions at t=0 and t=rho.
 
-
-def _right_permutation(basis: EigenmodeBasis, nb: EigenmodeBasis) -> np.ndarray:
-    """Index array p with x_nb = x_basis[p] for dense vectors over the two orderings."""
-    src = np.arange(basis.total_dim)
-    pos = basis.coord_mode
-    dst = nb.mode_offsets[_mode_positions(basis, nb)][pos] + src - basis.mode_offsets[pos]
-    perm = np.empty(basis.total_dim, dtype=int)
-    perm[dst] = src
-    return perm
-
-
-def homogeneous_constraint_matrix(
-    P: CylinderProblem, NL: np.ndarray, NR: np.ndarray, negated: bool = False
-) -> np.ndarray:
-    """The stacked boundary constraints on normalized homogeneous coefficients.
-
-    A coefficient vector c (primal dense ordering) gives the homogeneous
-    solution sum_j c_j h_j(t) phi_j; the rows express membership of the
-    traces in the left and right conditions, whose ``perp_span_matrix``
-    spans are ``NL`` and ``NR``.
-
-    With ``negated`` the solutions are those of the eigenvalues -lambda,
-    e^{+lambda t}, and ``assemble`` passes the spans of the conditions
-    themselves: the nullity is then dim coker.  The normalized value of
-    e^{+lambda t} at one end is that of e^{-lambda t} at the other, so the two
-    ends' scales swap, bit for bit.
+    e^{-lambda t}, normalized at the end where it is largest, is 1 there and
+    exp(-|lambda| rho) at the other end.  The exponentials are taken by
+    ``math.exp``, one per mode: ``np.exp`` differs from it in the last bit on
+    some inputs, and these scales enter every rank decision.
     """
-    basis = P.basis
-    d0, dr = _homogeneous_scales(basis, P.rho)
-    if negated:
-        d0, dr = dr, d0
-    perm = _right_permutation(basis, P.right.basis)
-    rows = []
-    if NL.size:
-        rows.append(NL.conj().T * d0[np.newaxis, :])
-    if NR.size:
-        # re-express the right rows in primal ordering, then scale by the t=rho values
-        block = np.zeros((NR.shape[1], basis.total_dim), dtype=complex)
-        block[:, perm] = NR.conj().T
-        rows.append(block * dr[np.newaxis, :])
-    if not rows:
-        return np.zeros((0, basis.total_dim), dtype=complex)
-    return np.vstack(rows)
+    lam = basis.coord_eigenvalue[basis.mode_offsets]
+    far = np.array([math.exp(-abs(x) * rho) for x in lam.tolist()])
+    up = lam >= 0
+    return np.where(up, 1.0, far)[basis.coord_mode], np.where(up, far, 1.0)[basis.coord_mode]
 
 
-def _svd(M: np.ndarray, vectors: bool = False) -> tuple:
-    """(s, vh): the singular values of M in descending order and, with
-    ``vectors``, a square vh whose rows are the matching right singular vectors.
+def homogeneous_constraint_matrix(span: Span, scale: np.ndarray) -> np.ndarray:
+    """The dense rows of one end's boundary constraints on normalized homogeneous coefficients.
+
+    A coefficient vector c (primal ordering) gives the homogeneous solution
+    sum_j c_j h_j(t) phi_j, whose trace at an end lies in that end's condition
+    when it is orthogonal to the condition's perp span: each span column x gives
+    the row x^* diag(h_j).  A unit column e_j gives h_j e_j^*, in closed form;
+    these are the rows of the dense columns, on ``span.rows``, where the values
+    h_j are ``scale``.
+    """
+    return span.block.conj().T * scale[np.newaxis, :]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """The rows of a constraint matrix of ``shape``.
+
+    At each position ``unit_pos`` is a unit row, with the value ``unit_val`` in
+    column ``unit_col``; ``blocks`` holds per end a block of dense rows, at the
+    positions ``pos``, on the columns ``cols``: (pos, cols, block).
+    """
+
+    shape: tuple
+    unit_pos: np.ndarray
+    unit_col: np.ndarray
+    unit_val: np.ndarray
+    blocks: tuple
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros(self.shape, dtype=complex)
+        M[self.unit_pos, self.unit_col] = self.unit_val
+        for pos, cols, block in self.blocks:
+            M[np.ix_(pos, cols)] = block
+        return M
+
+    def gather(self, keep: np.ndarray) -> tuple:
+        """(rows, X): the positions of the rows with a nonzero entry in the sorted
+        columns ``keep``, in matrix order, and the matrix on those rows and columns."""
+        inside = np.zeros(self.shape[1], dtype=bool)
+        inside[keep] = True
+        u = inside[self.unit_col] & (self.unit_val != 0)
+        cuts = [inside[cols] for _, cols, _ in self.blocks]
+        hits = [(block != 0)[:, cut].any(axis=1) for (_, _, block), cut in zip(self.blocks, cuts)]
+        rows = np.sort(np.concatenate(
+            [self.unit_pos[u]] + [pos[hit] for (pos, _, _), hit in zip(self.blocks, hits)]
+        ))
+        X = np.zeros((rows.size, keep.size), dtype=complex)
+        X[np.searchsorted(rows, self.unit_pos[u]), np.searchsorted(keep, self.unit_col[u])] = (
+            self.unit_val[u]
+        )
+        for (pos, cols, block), cut, hit in zip(self.blocks, cuts, hits):
+            X[np.searchsorted(rows, pos[hit])[:, None], np.searchsorted(keep, cols[cut])] = (
+                block[np.ix_(hit, cut)]
+            )
+        return rows, X
+
+
+def _constraint_rows(P: CylinderProblem, left: Span, right: Span, scales: tuple) -> _Rows:
+    """The constraint rows that the spans ``left`` and ``right`` of P's two ends
+    give, with the values (at t=0, at t=rho) of the homogeneous solutions.
+
+    The left span's rows come first, then the right span's, each in its column
+    order; the right end's coordinates, those of the negated basis, are taken
+    back to P's.
+    """
+    units, blocks, start = [], [], 0
+    for span, other, d in ((left, P.left.basis, scales[0]), (right, P.right.basis, scales[1])):
+        coords = _coords_in(other, P.basis, np.concatenate([span.unit, span.rows]))
+        unit, cols = coords[: span.unit.size], coords[span.unit.size :]
+        units.append((span.unit_pos + start, unit, d[unit]))
+        blocks.append((span.block_pos + start, cols, homogeneous_constraint_matrix(span, d[cols])))
+        start += span.shape[1]
+    unit_pos, unit_col, unit_val = (np.concatenate(part) for part in zip(*units))
+    return _Rows((start, P.basis.total_dim), unit_pos, unit_col, unit_val, tuple(blocks))
+
+
+def _factor(R: _Rows, vectors: bool = False) -> tuple:
+    """(s, vh): the singular values of the matrix R holds, in descending order,
+    and with ``vectors`` a square vh whose rows are the matching right singular
+    vectors; without them, vh is None.
 
     A column alone on its nonzero rows (see ``_coupled_block``) has its norm as
-    a singular value and a unit vector as its right singular vector.  Only the
-    coupled columns, on the rows they touch, go through ``np.linalg.svd``;
-    a block-diagonal matrix has the union of its blocks' spectra.  ``s`` has
-    min(M.shape) entries, as a dense SVD gives; without ``vectors``, vh is None.
-    The values always come from the values-only routine, and ``vectors`` adds
-    a full SVD of the block for vh alone, so that a call with vectors ranks
-    the very numbers that one without them ranks.
+    a singular value and a unit vector as its right singular vector; a
+    block-diagonal matrix has the union of its blocks' spectra.  A unit row has
+    one entry, so only dense rows couple columns, and only the coupled columns,
+    on the rows they touch, go through ``np.linalg.svd``.  A column that no
+    dense row touches has the norm sqrt(d0^2 + dr^2) of its unit entries, in
+    closed form, and a lone column that one does is summed as a dense column
+    would be: ``s`` is what the same split of ``R.dense()`` gives, bit for bit,
+    with min(R.shape) entries.  The values always come from the values-only
+    routine, and ``vectors`` adds a full SVD of the block for vh alone, so that
+    a call with vectors ranks the very numbers that one without them ranks.
     """
-    m, n = M.shape
-    cols, rows = _coupled_block(M)
-    lone, block = np.flatnonzero(~cols), np.flatnonzero(cols)
-    values = [np.linalg.norm(M[:, lone], axis=0)]
-    if block.size:
-        B = M[np.ix_(rows, cols)]
+    m, n = R.shape
+    is_coupled, is_touched = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for _, cols, block in R.blocks:
+        z = block != 0
+        is_coupled[cols[z[np.count_nonzero(z, axis=1) > 1].any(axis=0)]] = True
+        is_touched[cols[z.any(axis=0)]] = True
+    coupled, lone = is_coupled.nonzero()[0], (~is_coupled).nonzero()[0]
+    # a coordinate has at most one unit row per end: one rounding in any order
+    values = np.sqrt(np.bincount(R.unit_col, R.unit_val * R.unit_val, n)[lone])
+    touched = (is_touched & ~is_coupled).nonzero()[0]
+    if touched.size:
+        rows, X = R.gather(touched)
+        values[np.searchsorted(lone, touched)] = _column_norms(X, rows, m)
+    values = [values]
+    if coupled.size:
+        B = R.gather(coupled)[1]
         sb = np.linalg.svd(B, compute_uv=False)
         if vectors:
             vhb = np.linalg.svd(B)[2]
-        values += [sb, np.zeros(block.size - sb.size)]
+        values += [sb, np.zeros(coupled.size - sb.size)]
     values = np.concatenate(values)
     order = np.argsort(-values, kind="stable")
     s = values[order][: min(m, n)]
@@ -404,9 +449,16 @@ def _svd(M: np.ndarray, vectors: bool = False) -> tuple:
         return s, None
     vh = np.zeros((n, n), dtype=complex)
     vh[np.arange(lone.size), lone] = 1.0
-    if block.size:
-        vh[lone.size :, block] = vhb
+    if coupled.size:
+        vh[lone.size :, coupled] = vhb
     return s, vh[order]
+
+
+def _svd(M: np.ndarray, vectors: bool = False) -> tuple:
+    """``_factor`` of a dense matrix, held as one block of dense rows."""
+    m, n = M.shape
+    none = np.zeros(0, dtype=int)
+    return _factor(_Rows(M.shape, none, none, none, ((np.arange(m), np.arange(n), M),)), vectors)
 
 
 def _shared_cut(*spectra: np.ndarray) -> float:
@@ -417,6 +469,28 @@ def _shared_cut(*spectra: np.ndarray) -> float:
     two share for one of them and drop it for the other.
     """
     return RANK_THRESHOLD * max((s[0] for s in spectra if s.size), default=0.0)
+
+
+def _problem_cut(s: np.ndarray, s_co: np.ndarray, index: int) -> float:
+    """The shared cut of a problem's constraint and cokernel spectra, never
+    splitting a value the two share.
+
+    The nullities satisfy ker - coker = ``index`` exactly, the row count of the
+    cokernel matrix, dim B_L + dim B_R, minus total_dim.  The shared cut can
+    still break that: a near-zero singular value that the two matrices share
+    can sit just above the cut in one and just below it in the other (0.92 and
+    1.13 times the cut on index_fresh seed 1, round 642, slot 3).  The cut then
+    moves below the largest value it dropped, so that this value counts in
+    both.  Such a value lies far above the round-off of these matrices (~1e-16
+    of the top), so keeping it is the rank decision.  If the nullities still
+    break the index formula, the certificate raises.
+    """
+    cut = _shared_cut(s, s_co)
+    if int(np.sum(s_co > cut)) - int(np.sum(s > cut)) != index:
+        values = np.concatenate([s, s_co])
+        dropped = values[values <= cut].max(initial=0.0)
+        cut = values[values < dropped].max(initial=0.0)
+    return cut
 
 
 def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> CylinderSection:
@@ -447,18 +521,21 @@ def _unitary_part(sigma0: SigmaZero, ab: EigenmodeBasis) -> np.ndarray:
 class Assembly:
     """The constraint matrix of a problem and its cokernel matrix, factored.
 
-    ``NL``, ``NR`` and ``M`` are the problem's spans and constraint matrix.
-    ``spectra`` and ``vh`` hold the singular values and square right singular
-    vectors of M and of the cokernel matrix; the entries of ``vh`` are None
-    without vectors.  ``adjoint_basis``, set only with vectors, is the basis
-    of the adjoint side, over which the cokernel sections live.
+    ``NL`` and ``NR`` are the perp spans of the problem's two ends and ``rows``
+    its constraint matrix, all split: untouched coordinates carry implied unit
+    columns and rows, and only the touched ones are dense.  ``dense()`` lays
+    them out in full for a solve.  ``spectra`` and ``vh`` hold the singular
+    values and square right singular vectors of the constraint matrix and of
+    the cokernel matrix; the entries of ``vh`` are None without vectors.
+    ``adjoint_basis``, set only with vectors, is the basis of the adjoint side,
+    over which the cokernel sections live.
     """
 
     problem: CylinderProblem
     adjoint_basis: Optional[EigenmodeBasis]
-    NL: np.ndarray
-    NR: np.ndarray
-    M: np.ndarray
+    NL: Span
+    NR: Span
+    rows: _Rows
     spectra: tuple
     vh: tuple
     cut: float
@@ -467,6 +544,10 @@ class Assembly:
         """(dim ker, dim coker): the nullities of both matrices at the shared cut."""
         D = self.problem.basis.total_dim
         return tuple(D - int(np.sum(s > self.cut)) for s in self.spectra)
+
+    def dense(self) -> tuple:
+        """(NL, NR, M): the two perp spans and the constraint matrix as dense arrays."""
+        return self.NL.dense(), self.NR.dense(), self.rows.dense()
 
     def sections(self) -> tuple:
         """Orthonormal (kernel, cokernel) sections, from the last rows of each vh.
@@ -490,25 +571,28 @@ def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
     U span(B) at both ends.  Its constraint matrix is therefore the cokernel
     matrix, P's own ``span_matrix`` spans scaled for e^{+lambda t}, times the
     unitary U^* on the right: the two share their singular values, and no
-    adjoint problem is built.  sigma_0 enters only the cokernel sections.
+    adjoint problem is built.  The normalized value of e^{+lambda t} at one end
+    is that of e^{-lambda t} at the other, so the cokernel matrix takes the two
+    ends' scales swapped, bit for bit.  sigma_0 enters only the cokernel
+    sections.
 
-    Each factorization splits as ``_svd`` says: untouched modes take their
-    singular values in closed form, and the coupled block on the touched
-    coordinates takes one dense SVD, so an APS problem takes none.  Right
-    singular vectors are taken only with ``vectors``, for the kernel and
-    cokernel sections; without them no square vh is allocated.  Only P's spans
-    and constraint matrix are kept.
+    Both matrices are built from the split spans of the two ends, so only the
+    coordinates that W or g touch are dense, and only their coupled block takes
+    an SVD (an APS problem takes none); the rest costs O(total_dim).  The
+    singular values are those of the dense full-basis matrices, bit for bit.
+    Right singular vectors are taken only with ``vectors``, for the kernel and
+    cokernel sections; without them no square vh is allocated.
     """
-    C = homogeneous_constraint_matrix(
-        P, P.left.span_matrix(), P.right.span_matrix(), negated=True
-    )
-    s_co, vh_co = _svd(C, vectors)
-    del C  # dropped before P's spans and matrix are built
+    d0, dr = _homogeneous_scales(P.basis, P.rho)
+    C = _constraint_rows(P, P.left.span_matrix(), P.right.span_matrix(), (dr, d0))
+    s_co, vh_co = _factor(C, vectors)
+    index = C.shape[0] - P.basis.total_dim
+    del C  # dropped before P's spans and rows are built
     NL, NR = P.left.perp_span_matrix(), P.right.perp_span_matrix()
-    M = homogeneous_constraint_matrix(P, NL, NR)
-    s, vh = _svd(M, vectors)
+    rows = _constraint_rows(P, NL, NR, (d0, dr))
+    s, vh = _factor(rows, vectors)
     ab = P.sigma0.adjoint_basis() if vectors else None
-    return Assembly(P, ab, NL, NR, M, (s, s_co), (vh, vh_co), _shared_cut(s, s_co))
+    return Assembly(P, ab, NL, NR, rows, (s, s_co), (vh, vh_co), _problem_cut(s, s_co, index))
 
 
 def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
@@ -522,7 +606,7 @@ def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
     psi = psi.on_basis(P.basis)
     phi_p = s0_apply(psi, P.sigma0)
     A = assemble(P, vectors=True)
-    NL, NR, M = A.NL, A.NR, A.M
+    NL, NR, M = A.dense()
     x0 = phi_p.trace0().to_dense(P.basis)
     xr = phi_p.trace_rho().to_dense(P.right.basis)
     rhs_parts = []

@@ -3,14 +3,19 @@
 Kernel and cokernel dimensions are finite linear-algebra computations because
 all boundary data is band-limited: outside the perturbation band each mode
 obeys a pure per-mode sign rule.  There is one production route, the ranks
-of two full-basis matrices decided against one singular-value cut that they
-share: the problem's constraint matrix, and its cokernel matrix, built from
-the spans of the problem's own conditions (the adjoint's constraint matrix
-up to a unitary factor, so no adjoint problem is built).  The factorization
-splits by sparsity: a column alone on its rows (a mode no W data or g touch)
-has its norm as its singular value, and only the coupled block, on the
-touched coordinates, takes a dense SVD.  A banded assembly (sign table plus a
-small block on the touched modes) is kept in the tests as an oracle for it.
+of two matrices decided against one singular-value cut that they share: the
+problem's constraint matrix, and its cokernel matrix, built from the spans of
+the problem's own conditions (the adjoint's constraint matrix up to a unitary
+factor, so no adjoint problem is built).  Both are built split, from the
+cut, W and g of each end: a coordinate that no W data or g touch carries a
+unit row per end where its condition constrains it, and its singular value
+sqrt(d0^2 + dr^2) in closed form from the scales of its homogeneous solution
+at the two ends.  Only the touched coordinates are dense, and only their
+coupled block takes an SVD.  The singular values are those of the dense
+full-basis matrices, bit for bit.  The shared cut never splits a value that
+the two matrices share (``cylinder_solver._problem_cut``).  The tests keep
+two oracles: the dense full-basis assembly, and a banded one (sign table plus
+a small block on the touched modes, from raw generators).
 
 A certified report passes two checks.  The formula check: every condition is
 in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it
@@ -121,14 +126,23 @@ def _doubling_counts(P: CylinderProblem, b2: EigenmodeBasis) -> tuple:
 
     With band-limited ends the problem on b2 keeps the W, g and cuts of P, so
     the data touch no added mode: one free at both cuts adds its fiber to the
-    kernel, one constrained at both adds it to the cokernel.  A b2 that moves
-    a mode of P's basis raises CertificateError.
+    kernel, one constrained at both adds it to the cokernel.  A b2 that lacks
+    a mode of P's basis, or gives it another eigenvalue or fiber dimension,
+    raises CertificateError.
     """
     b = P.basis
-    moved = [m.mode_id for m in b.modes if m.mode_id not in b2 or b2.mode(m.mode_id) != m]
-    if moved:
+    order = np.argsort(b2.mode_ids)
+    at = order[np.minimum(np.searchsorted(b2.mode_ids, b.mode_ids, sorter=order), order.size - 1)]
+    fiber, fiber2 = (np.diff(x.mode_offsets, append=x.total_dim) for x in (b, b2))
+    moved = (
+        (b2.mode_ids[at] != b.mode_ids)
+        | (b2.coord_eigenvalue[b2.mode_offsets[at]] != b.coord_eigenvalue[b.mode_offsets])
+        | (fiber2[at] != fiber)
+    )
+    if moved.any():
         raise CertificateError(
-            f"truncation certificate failed: the doubled lattice moves mode {moved[0]}"
+            f"truncation certificate failed: the doubled lattice moves mode "
+            f"{b.mode_ids[np.argmax(moved)]}"
         )
     added = ~np.isin(b2.mode_ids[b2.coord_mode], b.mode_ids)
     lam = b2.coord_eigenvalue[added]
@@ -257,8 +271,8 @@ class ClosedSubspace:
 
     def matrix(self) -> np.ndarray:
         if self.complement:
-            return self.condition.perp_span_matrix()
-        return self.condition.span_matrix()
+            return self.condition.perp_span_matrix().dense()
+        return self.condition.span_matrix().dense()
 
     def orthocomplement(self) -> "ClosedSubspace":
         return ClosedSubspace(self.condition, not self.complement)

@@ -20,7 +20,7 @@ import numbers
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def parse_scenario(data, index_hint: int = 0) -> Scenario:
             raise ScenarioError(f"invalid JSON: {e}") from e
     _check(data, _SCENARIO, "$")
     kind = data["kind"]
-    _check(data["payload"], _KINDS[kind][1], "$.payload")
+    _check(data["payload"], _KINDS[kind].rule, "$.payload")
     _check_finite(data["payload"], "$.payload")
     spectrum = data["payload"].get("spectrum")
     if spectrum and "modes" in spectrum:
@@ -206,6 +206,12 @@ def parse_scenario(data, index_hint: int = 0) -> Scenario:
             if m["mode_id"] in seen:
                 raise ScenarioError(f"duplicate mode_id: {m['mode_id']}")
             seen.add(m["mode_id"])
+        if _KINDS[kind].certified:
+            raise ScenarioError(
+                f"explicit modes at $.payload.spectrum.modes: kind {kind!r} certifies its "
+                "index on the doubled lattice, which an explicit mode list does not define; "
+                "give a lattice spectrum"
+            )
     return Scenario(
         scenario_id=data.get("id", f"scenario-{index_hint}"),
         kind=kind,
@@ -513,39 +519,51 @@ def _run_norm_probe(s: Scenario, rng) -> tuple:
     return rep, ok
 
 
-# -- the kinds: runner and payload rule -------------------------------------
+# -- the kinds: runner, payload rule, certified ------------------------------
+
+class _Kind(NamedTuple):
+    run: Callable
+    rule: dict
+    # the runner calls index(), whose certificate needs the doubled lattice of
+    # a lattice spectrum, so an explicit "modes" spectrum is refused
+    certified: bool = False
+
 
 _KINDS = {
-    "solve": (_run_solve, _problem(_ENDS, rhs=_RHS)),
-    "index": (_run_index, _problem(_ENDS, expected_index=_INTEGER)),
-    "aps_shift": (_run_aps_shift, _problem(
+    "solve": _Kind(_run_solve, _problem(_ENDS, rhs=_RHS)),
+    "index": _Kind(_run_index, _problem(_ENDS, expected_index=_INTEGER), True),
+    "aps_shift": _Kind(_run_aps_shift, _problem(
         ("spectrum", "rho", "right", "a", "b"), a=_NUMBER, b=_NUMBER,
-    )),
-    "graph_identity": (_run_graph_identity, _problem(_ENDS)),
-    "deform_sweep": (_run_deform_sweep, _problem(_ENDS, steps={"type": "integer", "minimum": 2})),
-    "fredholm_pair": (_run_fredholm_pair, _object(
+    ), True),
+    "graph_identity": _Kind(_run_graph_identity, _problem(_ENDS), True),
+    "deform_sweep": _Kind(
+        _run_deform_sweep, _problem(_ENDS, steps={"type": "integer", "minimum": 2}), True
+    ),
+    "fredholm_pair": _Kind(_run_fredholm_pair, _object(
         ("spectrum", "first", "second"), spectrum=_SPECTRUM, first=_CONDITION, second=_CONDITION,
     )),
-    "pair_identity": (_run_pair_identity, _problem(
+    "pair_identity": _Kind(_run_pair_identity, _problem(
         ("spectrum", "rho", "right", "first", "second"),
         first=_CONDITION, second=_CONDITION, expect_refusal={"type": "boolean"},
-    )),
-    "split": (_run_split, _problem((*_ENDS, "cut_condition"), cut_condition=_CONDITION)),
-    "cobordism": (_run_cobordism, _object(
+    ), True),
+    "split": _Kind(
+        _run_split, _problem((*_ENDS, "cut_condition"), cut_condition=_CONDITION), True
+    ),
+    "cobordism": _Kind(_run_cobordism, _object(
         ("n", "slope", "band_limit"),
         n=_COUNT, slope=_NUMBER, offset=_array(_NUMBER, minItems=2, maxItems=2),
         zeros=_array(_INTEGER), band_limit=_NON_NEGATIVE, rho=_POSITIVE,
-    )),
-    "greens": (_run_greens, _SAMPLED),
-    "energy": (_run_energy, _SAMPLED),
-    "ode_bounds": (_run_ode_bounds, _object(
+    ), True),
+    "greens": _Kind(_run_greens, _SAMPLED),
+    "energy": _Kind(_run_energy, _SAMPLED),
+    "ode_bounds": _Kind(_run_ode_bounds, _object(
         ("lambdas", "rho"), lambdas=_array(_NUMBER, minItems=1), rho=_POSITIVE, n_rhs=_COUNT,
     )),
-    "extension_bound": (_run_extension_bound, _object(
+    "extension_bound": _Kind(_run_extension_bound, _object(
         ("spectrum", "cut", "r", "rho"),
         spectrum=_SPECTRUM, cut=_NUMBER, r=_POSITIVE, rho=_POSITIVE, n_samples=_COUNT,
     )),
-    "norm_probe": (_run_norm_probe, _object(
+    "norm_probe": _Kind(_run_norm_probe, _object(
         ("spectrum", "cut1", "cut2"),
         spectrum=_SPECTRUM, cut1=_NUMBER, cut2=_NUMBER, n_samples=_COUNT,
     )),
@@ -564,8 +582,7 @@ def run(s: Scenario) -> Report:
     start = time.perf_counter()
     rng = np.random.default_rng(s.seed)
     try:
-        runner, _ = _KINDS[s.kind]
-        result = runner(s, rng)
+        result = _KINDS[s.kind].run(s, rng)
     except Exception as e:  # one failing scenario must not abort the batch
         return Report(
             s,

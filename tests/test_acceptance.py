@@ -107,7 +107,7 @@ def members(cond, rng, count):
 def span_equal(c1, c2, tol=1e-9):
     if c1.dim() != c2.dim():
         return False
-    S1 = c1.span_matrix()
+    S1 = c1.span_matrix().dense()
     return all(
         c2.membership(BoundarySection.from_dense(c1.basis, S1[:, i]), tol)
         for i in range(S1.shape[1])

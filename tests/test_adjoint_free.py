@@ -87,8 +87,9 @@ def test_adjoint_condition_spans_u_times_the_condition(name):
         ad = adjoint(B, sigma).condition
         U = _unitary_part(sigma.on_basis(B.basis), ad.basis)
         assert np.allclose(U.conj().T @ U, np.eye(B.basis.total_dim), atol=1e-14)
-        UB = U @ B.span_matrix()
-        assert np.max(np.abs(projector(UB) - projector(ad.perp_span_matrix()))) <= PROJECTOR_TOL
+        UB = U @ B.span_matrix().dense()
+        N = ad.perp_span_matrix().dense()
+        assert np.max(np.abs(projector(UB) - projector(N))) <= PROJECTOR_TOL
 
 
 @pytest.mark.parametrize("name, rho", GRID)

@@ -26,7 +26,14 @@ from apslab.boundary_conditions import (
     make_transmission,
     seeded_graph_condition,
 )
-from apslab.cylinder_solver import CylinderProblem, CylinderSection, adjoint_problem, solve_bvp
+from apslab.cylinder_solver import (
+    CylinderProblem,
+    CylinderSection,
+    _shared_cut,
+    adjoint_problem,
+    assemble,
+    solve_bvp,
+)
 from apslab.index_calculus import (
     CertificateError,
     _certify,
@@ -193,6 +200,25 @@ class TestCertificateCatches:
         with pytest.raises(CertificateError, match="the doubled lattice moves mode -4"):
             index(P)
 
+    @pytest.mark.parametrize(
+        "lattice, moved",
+        [
+            # every mode keeps its eigenvalue but doubles its fiber
+            (lambda f: EigenmodeBasis.lattice(4 * f, fiber_dim=2, band_limit=2.0), -4),
+            # mode 0 is missing at 2N
+            (lambda f: EigenmodeBasis(
+                [m for m in EigenmodeBasis.lattice(4 * f, band_limit=2.0).modes if m.mode_id], 2.0
+            ), 0),
+        ],
+        ids=["fiber", "missing"],
+    )
+    def test_doubled_lattice_that_changes_a_fiber_or_drops_a_mode_is_refused(self, lattice, moved):
+        base = EigenmodeBasis.lattice(4, band_limit=2.0)
+        basis = EigenmodeBasis(base.modes, 2.0, extend_fn=lattice)
+        P = aps_problem(basis, 0.5, basis.negated().cut_above(0.0))
+        with pytest.raises(CertificateError, match=f"the doubled lattice moves mode {moved}$"):
+            index(P)
+
     def test_regenerated_condition_that_moves_its_cut_is_resolved(self):
         # the family's left cut frees mode 1 on the doubled lattice, which the
         # sign-rule counts of the added modes cannot see; the family is solved
@@ -311,9 +337,11 @@ class TestCobordismFamily:
 class TestCertificateWork:
     """A certified APS or graph index() takes no rank at 2N, and every reader
     of a problem's constraints builds and factors each matrix once, from the
-    problem's own spans: no adjoint problem or condition is built.  Only the
-    coordinates that W data or g touch reach a dense SVD, so an APS problem
-    takes none and a graph problem one per matrix, on the touched block."""
+    problem's own spans: no adjoint problem or condition is built.  Each matrix
+    is built as one dense block of rows per end, on the coordinates that end's
+    W data or g touch, and only those coordinates reach a dense SVD: an APS
+    problem builds empty blocks and takes no SVD, a graph problem one per
+    matrix, on the touched block."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -328,9 +356,9 @@ class TestCertificateWork:
         build = cylinder_solver.homogeneous_constraint_matrix
         svd = np.linalg.svd
 
-        def count_matrix(P, NL, NR, **kw):
-            M = build(P, NL, NR, **kw)
-            calls["matrices"].append((P.basis.total_dim, M.shape[1]))
+        def count_matrix(span, scale):
+            M = build(span, scale)
+            calls["matrices"].append(M.shape)
             return M
 
         def count_svd(M, *args, **kwargs):
@@ -363,11 +391,12 @@ class TestCertificateWork:
         return calls
 
     @staticmethod
-    def once(D, svd_widths=()):
-        """The work of one assembly of a problem on D coordinates: its constraint
-        and cokernel matrices, from its own spans, with no adjoint built."""
+    def once(blocks=((0, 0),) * 4, svd_widths=()):
+        """The work of one assembly of a problem: its cokernel and constraint
+        matrices, one row block per end from its own spans (``blocks``, by
+        default those of APS ends, which touch nothing), with no adjoint built."""
         return {
-            "matrices": [(D, D), (D, D)],
+            "matrices": list(blocks),
             "adjoints": 0,
             "adjoint_conditions": 0,
             "spans": 2,
@@ -379,17 +408,20 @@ class TestCertificateWork:
         basis = EigenmodeBasis.lattice(8, band_limit=4.0)
         rep = index(aps_problem(basis, 0.5, basis.negated().cut_above(0.0)))
         assert rep.truncation_certificate["doubled_agrees"] is True
-        assert counted == self.once(basis.total_dim)
+        assert counted == self.once()
 
     def test_graph_problem(self, counted):
         P = graph_problem(0.1, 1.5, 12345, -0.5, 1.4, (1, 1), (1, 2))
         rep = index(P)
         assert rep.truncation_certificate["doubled_agrees"] is True
-        widths = counted["svd_widths"]
-        assert counted == self.once(P.basis.total_dim, widths)
+        widths, blocks = counted["svd_widths"], counted["matrices"]
+        assert counted == self.once(blocks, widths)
         touched = index_calculus._touched_modes(P.left) | index_calculus._touched_modes(P.right)
-        assert len(widths) == 2
-        assert 0 < max(widths) <= sum(P.basis.fiber_dim(mid) for mid in touched) < 20
+        coords = sum(P.basis.fiber_dim(mid) for mid in touched)
+        assert len(widths) == 2 and len(blocks) == 4
+        assert 0 < max(widths) <= coords < 20
+        # each end's block covers that end's touched coordinates only
+        assert all(0 < cols < coords for _, cols in blocks)
 
     def test_bases_reuse_the_counting_factorization(self, counted):
         # with_bases once built and factored both matrices a second time for
@@ -397,7 +429,7 @@ class TestCertificateWork:
         basis = EigenmodeBasis.lattice(8, band_limit=4.0)
         P = aps_problem(basis, 0.5, basis.negated().cut_above(0.0))
         index(P, certify=False, with_bases=True)
-        assert counted == self.once(basis.total_dim)
+        assert counted == self.once()
 
     def test_solve_builds_each_span_once(self, counted):
         # solve_bvp once built the problem's two spans again for its
@@ -406,7 +438,7 @@ class TestCertificateWork:
         P = aps_problem(basis, 0.5, basis.negated().cut_above(0.0))
         res = solve_bvp(P, CylinderSection.zero(basis, P.rho))
         assert res.consistent
-        assert counted == self.once(basis.total_dim)
+        assert counted == self.once()
 
 
 # index_fresh seeds 6 and 7 (round 5 and round 9, slot 0): a singular value of
@@ -420,7 +452,37 @@ SHORT_CYLINDERS = {
 }
 
 
+# index_fresh (seed, round, slot) = (1, 642, 3), (2, 345, 1) and (4, 692, 2): a
+# value that the constraint and cokernel matrices share sat just above the
+# shared cut in one and just below it in the other, and the certificate raised
+# "index formula check failed".  At rho/2 no value is near the cut.
+SPLIT_VALUES = {
+    "seed1": (0.14640280678672002, 1.7736520486352434, 1751369389,
+              -0.2950138454720128, -0.5311989502658514, (1, 2), (1, 1)),
+    "seed2": (0.3059727057440248, 1.7966469104506602, 1282366292,
+              0.03757645428988221, 0.05750395159044841, (1, 1), (1, 2)),
+    "seed4": (0.30262573437821316, 1.9166959777196224, 619033262,
+              0.02226795279166527, 1.0897821421757503, (2, 1), (1, 1)),
+}
+
+
 class TestSharedRankCut:
+    @pytest.mark.parametrize("case", sorted(SPLIT_VALUES))
+    def test_a_value_split_by_the_cut_counts_in_both_matrices(self, case):
+        shift, rho, graph_seed, a, c, left_w, right_w = SPLIT_VALUES[case]
+        P = graph_problem(shift, rho, graph_seed, a, c, left_w, right_w)
+        A = assemble(P)
+        D, shared = P.basis.total_dim, _shared_cut(*A.spectra)
+        ker, coker = (D - int(np.sum(s > shared)) for s in A.spectra)
+        assert ker - coker != _formula_index(P) and A.cut < shared
+        rep = index(P)
+        assert rep.truncation_certificate["doubled_agrees"] is True
+        half = index(graph_problem(shift, rho / 2, graph_seed, a, c, left_w, right_w))
+        assert (rep.dim_ker, rep.dim_coker) == (half.dim_ker, half.dim_coker)
+        res = solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
+        assert (len(res.kernel_basis), len(res.obstruction_basis)) == (rep.dim_ker, rep.dim_coker)
+        assert kernel_dim(P) == rep.dim_ker
+
     @pytest.mark.parametrize("case", sorted(SHORT_CYLINDERS))
     @pytest.mark.parametrize("route", ["dense", "banded"])
     def test_short_cylinder_index(self, case, route):

@@ -38,6 +38,21 @@ EXAMPLES = os.path.join(DOCS, "examples.json")
 
 FINE_SPECTRUM = {"n": 16, "shift": 0.25, "spacing": 0.5, "band_limit": 4.0}
 
+EXPLICIT_MODES = {
+    "band_limit": 1.0,
+    "modes": [{"mode_id": j, "eigenvalue": lam} for j, lam in enumerate((-1.5, -0.5, 0.5, 1.5))],
+}
+GRAPH = {"type": "graph", "cut": 0.0, "g_norm": 0.3, "n_g_pairs": 1}
+# a valid payload, on a lattice spectrum, of every kind that takes a spectrum and calls index()
+CERTIFIED_PAYLOADS = {
+    "index": REFERENCE_PROBLEM,
+    "aps_shift": {**REFERENCE_PROBLEM, "a": -1.0, "b": 1.0},
+    "graph_identity": REFERENCE_PROBLEM,
+    "deform_sweep": REFERENCE_PROBLEM,
+    "pair_identity": {**REFERENCE_PROBLEM, "first": GRAPH, "second": {"type": "aps"}},
+    "split": {**REFERENCE_PROBLEM, "cut_condition": {"type": "aps", "cut": 0.0}},
+}
+
 
 def scenario(kind, payload, **kw):
     return parse_scenario({"kind": kind, "payload": payload, **kw})
@@ -97,6 +112,23 @@ class TestParsing:
         s = scenario("index", REFERENCE_PROBLEM)
         assert s.seed == 0 and s.truncation is None
         assert s.scenario_id.startswith("scenario-")
+
+    @pytest.mark.parametrize("kind", sorted(CERTIFIED_PAYLOADS))
+    def test_explicit_modes_are_refused_where_index_is_certified(self, kind):
+        # an index scenario on four explicit modes once passed validation and
+        # failed at run time: "basis carries no extension rule; cannot certify
+        # truncation"
+        payload = {**CERTIFIED_PAYLOADS[kind], "spectrum": EXPLICIT_MODES}
+        with pytest.raises(ScenarioError, match=r"\$\.payload\.spectrum\.modes: kind") as err:
+            parse_scenario({"kind": kind, "payload": payload})
+        assert "doubled lattice" in str(err.value)
+        # the same payload on a lattice spectrum is valid
+        parse_scenario({"kind": kind, "payload": CERTIFIED_PAYLOADS[kind]})
+
+    def test_refusal_covers_every_kind_that_certifies(self):
+        certified = {k for k, kind in scenario_cli._KINDS.items() if kind.certified}
+        # cobordism builds its own chiral lattice and takes no spectrum
+        assert certified == set(CERTIFIED_PAYLOADS) | {"cobordism"}
 
 
 def with_field(doc: dict, path: tuple, value=None, delete=False) -> dict:
@@ -244,6 +276,18 @@ class TestRunners:
         }
         rep = run(scenario("solve", payload))
         assert rep.passed
+        assert rep.outputs["consistent"] and rep.outputs["residual_max"] < 1e-10
+
+    def test_solve_scenario_on_explicit_modes(self):
+        # a solve takes no certificate, so it accepts the explicit mode list
+        # that the certified kinds refuse
+        payload = {
+            **REFERENCE_PROBLEM,
+            "spectrum": EXPLICIT_MODES,
+            "rhs": [{"mode_id": 2, "terms": [[1.0, 0.5, 0, -0.5, 0.25]]}],
+        }
+        rep = run(scenario("solve", payload))
+        assert rep.passed, rep.outputs
         assert rep.outputs["consistent"] and rep.outputs["residual_max"] < 1e-10
 
     def test_deform_sweep_produces_step_rows(self):

@@ -7,15 +7,16 @@ such columns in place and runs its pivoted QR on the coupled block.  Here both
 are checked against one dense factorization of the whole matrix: on seeded
 matrices built from lone columns (down to 1e-30), zero columns and a coupled
 block, permuted, with fewer or more rows than columns; and on the constraint
-matrices that ``assemble`` factors for APS, graph, chiral and transmission
-problems, whose cokernel matrix is also checked against the constraint matrix
-of the adjoint problem.
+matrices of APS, graph, chiral and transmission problems, built dense by
+``tests/dense_oracle.py``, whose cokernel matrix is also checked against the
+constraint matrix of the adjoint problem.
 """
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import dense_oracle
 from apslab.boundary_conditions import (
     RANK_TOL,
     _orthonormalize,
@@ -31,7 +32,6 @@ from apslab.cylinder_solver import (
     _svd,
     adjoint_problem,
     assemble,
-    homogeneous_constraint_matrix,
     solve_bvp,
 )
 from apslab.index_calculus import chiral_block_basis, index, kernel_dim
@@ -149,6 +149,11 @@ def test_only_the_coupled_block_reaches_lapack(monkeypatch):
 
 # -- _orthonormalize -----------------------------------------------------------
 
+def orthonormalize(M):
+    """``_orthonormalize`` on every row of a dense matrix."""
+    return _orthonormalize(M, np.arange(M.shape[0]), M.shape[0])[0]
+
+
 def reference_orthonormalize(M, tol=RANK_TOL):
     """One pivoted QR of every column, with the rank cut at tol times its first pivot."""
     q, r, _ = sla.qr(M, mode="economic", pivoting=True)
@@ -163,7 +168,7 @@ def test_orthonormalize_matches_one_pivoted_qr(case, seed):
     M = split_matrix(rng, **CASES[case])
     if not M.size:
         return
-    q = _orthonormalize([M])
+    q = orthonormalize(M)
     ref = reference_orthonormalize(M)
     assert q.shape == ref.shape
     assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
@@ -176,14 +181,14 @@ def test_lone_columns_below_the_rank_cut_are_dropped():
     # the tiny column is alone on its row, but it is 1e-12 of the largest norm
     M = np.zeros((3, 3), dtype=complex)
     M[0, 0], M[1, 1], M[2, 2] = 2.0, 1e-12, 1e-30
-    q = _orthonormalize([M])
+    q = orthonormalize(M)
     assert q.shape == (3, 1)
     assert np.array_equal(q[:, 0], [1, 0, 0])
     # the largest norm may sit in the coupled block
     M = np.zeros((4, 3), dtype=complex)
     M[:2, :2] = [[3.0, 1.0], [1.0, -3.0]]
     M[3, 2] = 1e-11
-    assert _orthonormalize([M]).shape == (4, 2)
+    assert orthonormalize(M).shape == (4, 2)
 
 
 # -- the constraint matrices of assemble ----------------------------------------
@@ -243,11 +248,12 @@ def test_assembly_matches_dense_svd(name, rho):
     P = PROBLEMS[name](rho)
     A = assemble(P, vectors=True)
     D = P.basis.total_dim
-    M = homogeneous_constraint_matrix(P, P.left.perp_span_matrix(), P.right.perp_span_matrix())
-    C = homogeneous_constraint_matrix(
-        P, P.left.span_matrix(), P.right.span_matrix(), negated=True
+    NL, NR = dense_oracle.perp_span(P.left), dense_oracle.perp_span(P.right)
+    M = dense_oracle.homogeneous_constraint_matrix(P, NL, NR)
+    C = dense_oracle.homogeneous_constraint_matrix(
+        P, dense_oracle.span(P.left), dense_oracle.span(P.right), negated=True
     )
-    assert np.array_equal(M, A.M)
+    assert all(np.array_equal(a, b) for a, b in zip(A.dense(), (NL, NR, M)))
     for N, s, vh, d in zip((M, C), A.spectra, A.vh, A.dims()):
         assert_matches_dense(N, cut=A.cut)
         s_split, vh_split = _svd(N, vectors=True)
@@ -257,7 +263,9 @@ def test_assembly_matches_dense_svd(name, rho):
     # oracle: the adjoint problem's constraint matrix, from its own perp spans,
     # has the cokernel matrix's shape, spectrum and nullity at the shared cut
     Q = adjoint_problem(P)
-    M_ad = homogeneous_constraint_matrix(Q, Q.left.perp_span_matrix(), Q.right.perp_span_matrix())
+    M_ad = dense_oracle.homogeneous_constraint_matrix(
+        Q, dense_oracle.perp_span(Q.left), dense_oracle.perp_span(Q.right)
+    )
     assert M_ad.shape == C.shape
     s_ad = np.linalg.svd(M_ad, compute_uv=False) if M_ad.size else np.zeros(0)
     top = max(A.cut / RANK_THRESHOLD, 1e-300)

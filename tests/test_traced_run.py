@@ -96,6 +96,6 @@ def test_traced_index_path_builds_no_adjoint(traced):
         "spectral_core.basis_builds",
         "cylinder_solver.constraint_cells",
     ]
-    assert {n: metrics[n]["value"] for n in names} == dict(zip(names, [0, 0, 0, 3, 132098]))
+    assert {n: metrics[n]["value"] for n in names} == dict(zip(names, [0, 0, 0, 3, 68]))
     solve = traced("solve_verify", 1)["metrics"]
     assert solve["cylinder_solver.adjoint_problem_calls"]["value"] == 0
