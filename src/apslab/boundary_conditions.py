@@ -16,6 +16,7 @@ families at eigenvalue zero, on the upper side of the cut.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, Optional
 
@@ -157,44 +158,22 @@ def _coupled_block(M: np.ndarray) -> tuple:
     return cols, nz[:, cols].any(axis=1)
 
 
-def _column_norms(X: np.ndarray, rows: np.ndarray, height: int, order: str = "F") -> np.ndarray:
-    """The norms ``np.linalg.norm(axis=0)`` gives, bit for bit, for the columns
-    of the height-row matrix, in memory ``order``, that holds X on ``rows``.
-
-    Numpy sums the squares in an order set by the layout and by where the
-    nonzero entries sit, but a sum of at most two nonzero terms is one rounding
-    in any order.  Only columns with more are summed in a matrix of that
-    height and layout.
-    """
-    norms = np.sqrt((X.conj() * X).real.sum(axis=0))
-    many = (np.count_nonzero(X, axis=0) > 2).nonzero()[0]
-    if many.size:
-        full = np.zeros((height, max(many.size, 2)), dtype=complex, order=order)
-        full[rows, : many.size] = X[:, many]
-        norms[many] = np.linalg.norm(full, axis=0)[: many.size]
-    return norms
-
-
-def _orthonormalize(
-    M: np.ndarray, rows: np.ndarray, height: int, units: bool = False, tol: float = RANK_TOL
-) -> tuple:
-    """(q, lone, floor): orthonormal columns spanning the columns of M, a block
-    on the coordinates ``rows`` of a space of ``height`` coordinates.
+def _orthonormalize(M: np.ndarray, units: bool = False, tol: float = RANK_TOL) -> tuple:
+    """(q, lone, floor): orthonormal columns spanning the columns of M.
 
     A column alone on its rows is normalized as it stands; the coupled block
     goes through a pivoted QR restricted to the rows it touches.  With
-    ``units``, implied unit columns off ``rows`` take part, each alone on its
-    row with norm 1.0.  A column is kept when its norm, or its diagonal entry of
-    R, exceeds ``floor``: ``tol`` times the largest column norm, the first
-    diagonal entry of a pivoted QR of all of them.  q holds the kept lone
+    ``units``, implied unit columns on rows outside M take part, each alone on
+    its row with norm 1.0.  A column is kept when its norm, or its diagonal
+    entry of R, exceeds ``floor``: ``tol`` times the largest column norm, the
+    first diagonal entry of a pivoted QR of all of them.  q holds the kept lone
     columns first, in input order (at the positions ``lone`` of M), then the QR
     columns, with entries below 1e-14 chopped so that sparse mode support
-    survives exactly.  Norms are summed as over all ``height`` coordinates, so
-    q is, on ``rows``, what the full columns would give, bit for bit.
+    survives exactly.
     """
     cols, brows = _coupled_block(M)
     lone = (~cols).nonzero()[0]
-    norms = _column_norms(M[:, lone], rows, height)
+    norms = np.linalg.norm(M[:, lone], axis=0)
     diag = np.zeros(0)
     if cols.any():
         qb, r, _ = sla.qr(M[np.ix_(brows, cols)], mode="economic", pivoting=True)
@@ -301,7 +280,7 @@ class BoundaryCondition:
         vecs = [w.on_basis(self.basis).to_dense() for w in sections]
         W = np.column_stack(vecs) if vecs else np.zeros((D, 0), dtype=complex)
         rows = np.flatnonzero(np.any(W != 0, axis=1))
-        q = _orthonormalize(W[rows], rows, D)[0]
+        q = _orthonormalize(W[rows])[0]
         if q.shape[1] != len(vecs):
             raise ConditionError("W family is linearly dependent")
         W = np.zeros((D, q.shape[1]), dtype=complex)
@@ -378,6 +357,19 @@ class BoundaryCondition:
         """Orthonormal columns spanning the L^2-orthocomplement W_minus (+) {u - g* u}."""
         return self._span(lower=False)
 
+    @functools.cached_property
+    def _touched(self) -> tuple:
+        """(rows, at, W): the coordinates that a W vector or a g entry touches,
+        the position of each in ``rows`` (by coordinate), and
+        W_plus (+) W_minus on them.  Both spans are built on these rows."""
+        basis = self.basis
+        W = self.w_all()
+        gmodes = self.g.source_ids() | self.g.target_ids()
+        in_g = np.zeros(len(basis.modes), dtype=bool)
+        in_g[basis.coord_mode[np.fromiter(map(basis.offset, gmodes), int, len(gmodes))]] = True
+        rows = (np.any(W != 0, axis=1) | in_g[basis.coord_mode]).nonzero()[0]
+        return rows, {j: i for i, j in enumerate(rows.tolist())}, W[rows]
+
     def _span(self, lower: bool) -> Span:
         """``span_matrix`` (lower) or ``perp_span_matrix``, built from (cut, W, g).
 
@@ -385,40 +377,22 @@ class BoundaryCondition:
         W_minus.  A side column is a unit vector e_j of one side of the cut with
         W_plus (+) W_minus projected out (dropped below RANK_TOL), then mapped by
         v -> v + g v (lower) or u -> u - g* u.  A coordinate that no W vector and
-        no g entry touches keeps e_j, a unit column.  The other columns take the
-        arithmetic of a dense build on the touched coordinates alone, so every
-        entry and the column order (see ``_orthonormalize``) are those of the
-        dense build, bit for bit.
+        no g entry touches keeps e_j, a unit column.  The other columns are built
+        on the touched coordinates alone.  The columns and their order (see
+        ``_orthonormalize``) are those of the same build on every coordinate.
         """
         basis, D = self.basis, self.basis.total_dim
         on_side = self._side_mask(lower)
-        side = on_side.nonzero()[0]
-        W = self.w_all()
-        in_w = np.any(W != 0, axis=1)
-        wrows = in_w.nonzero()[0]
-        gmodes = self.g.source_ids() | self.g.target_ids()
-        in_g = np.zeros(len(basis.modes), dtype=bool)
-        in_g[basis.coord_mode[np.fromiter(map(basis.offset, gmodes), int, len(gmodes))]] = True
-        touches = in_w | in_g[basis.coord_mode]
-        rows = touches.nonzero()[0]
-        at = np.zeros(D, dtype=int)  # the position of each touched coordinate in rows
-        at[rows] = np.arange(rows.size)
-        touched = rows[on_side[rows]]
+        rows, at, W = self._touched
+        side = on_side[rows]
+        touched = rows[side]
         C = np.zeros((rows.size, touched.size), dtype=complex)
-        C[at[touched], np.arange(touched.size)] = 1.0
+        C[side.nonzero()[0], np.arange(touched.size)] = 1.0
+        C -= W @ W[side].conj().T
+        survive = ~(np.linalg.norm(C, axis=0) < RANK_TOL)
         kept = on_side.copy()  # the side columns that survive the W projection
-        wside = in_w[touched].nonzero()[0]
-        if wside.size:
-            # The W rows of the dense product W W[side]^*.  zgemm's bits depend on
-            # its column count, so that is kept; from two rows up, not on its rows.
-            top = wrows if wrows.size > 1 else np.repeat(wrows, 2)
-            X = W[top] @ W[side].conj().T
-            C[at[wrows]] -= X[: wrows.size, np.searchsorted(side, touched)]
-            order = "C" if side.size > 1 else "F"
-            survive = np.ones(touched.size, dtype=bool)
-            survive[wside] = ~(_column_norms(C[:, wside], rows, D, order) < RANK_TOL)
-            kept[touched[~survive]] = False
-            C, touched = C[:, survive], touched[survive]
+        kept[touched[~survive]] = False
+        C, touched = C[:, survive], touched[survive]
         for (tgt, src), block in self.g.entries.items():
             t, s = at[basis.offset(tgt)], at[basis.offset(src)]
             if lower:
@@ -426,8 +400,9 @@ class BoundaryCondition:
             else:
                 C[s : s + block.shape[1]] -= block.conj().T @ C[t : t + block.shape[0]]
         family = (self.w_plus if lower else self.w_minus)[rows]
-        unit = (on_side & ~touches).nonzero()[0]
-        q, lone, floor = _orthonormalize(np.column_stack([C, family]), rows, D, unit.size > 0)
+        on_side[rows] = False
+        unit = on_side.nonzero()[0]
+        q, lone, floor = _orthonormalize(np.column_stack([C, family]), unit.size > 0)
         if not 1.0 > floor:  # a lone column of norm 1/RANK_TOL or more drops them
             unit = unit[:0]
         # input positions: the kept side columns in coordinate order, then the family

@@ -11,9 +11,8 @@ cut, W and g of each end: a coordinate that no W data or g touch carries a
 unit row per end where its condition constrains it, and its singular value
 sqrt(d0^2 + dr^2) in closed form from the scales of its homogeneous solution
 at the two ends.  Only the touched coordinates are dense, and only their
-coupled block takes an SVD.  The singular values are those of the dense
-full-basis matrices, bit for bit.  The shared cut never splits a value that
-the two matrices share (``cylinder_solver._problem_cut``).  The tests keep
+coupled block takes an SVD.  The shared cut sits in a gap of the two
+spectra (``cylinder_solver._shared_cut``).  The tests keep
 two oracles: the dense full-basis assembly, and a banded one (sign table plus
 a small block on the touched modes, from raw generators).
 
@@ -44,12 +43,13 @@ from .boundary_conditions import (
     ORTHO_TOL,
     BoundaryCondition,
     ConditionError,
+    _coupled_block,
     complement_condition,
     deform,
     make_chiral,
     make_generalized_aps,
 )
-from .cylinder_solver import RANK_THRESHOLD, CylinderProblem, _svd, assemble
+from .cylinder_solver import RANK_THRESHOLD, CylinderProblem, assemble
 
 class CertificateError(RuntimeError):
     """Raised when a certified index fails the formula check or the doubling check.
@@ -90,8 +90,17 @@ class FredholmPairReport:
 
 
 def _rank(M: np.ndarray) -> int:
-    s = _svd(M)[0]
-    return int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size else 0
+    """The rank of M at RANK_THRESHOLD times its largest singular value.
+
+    A column alone on its nonzero rows (see ``_coupled_block``) has its norm as
+    a singular value; only the coupled columns, on their rows, take an SVD.
+    """
+    cols, rows = _coupled_block(M)
+    s = np.concatenate([
+        np.linalg.norm(M[:, ~cols], axis=0),
+        np.linalg.svd(M[np.ix_(rows, cols)], compute_uv=False),
+    ])
+    return int(np.sum(s > RANK_THRESHOLD * s.max(initial=0.0)))
 
 
 def _touched_modes(cond: BoundaryCondition) -> set:
@@ -278,15 +287,18 @@ class ClosedSubspace:
         return ClosedSubspace(self.condition, not self.complement)
 
 
+def _pair_report(dim_x: int, dim_y: int, joint: np.ndarray, total_dim: int) -> FredholmPairReport:
+    """The pair report of subspaces of dimensions dim_x and dim_y whose
+    spanning columns, side by side, are ``joint``."""
+    r = _rank(joint)
+    inter, codim = dim_x + dim_y - r, total_dim - r
+    return FredholmPairReport(inter, codim, inter - codim)
+
+
 def subspace_pair_index(X: np.ndarray, Y: np.ndarray, total_dim: int) -> FredholmPairReport:
     """The pair index of two explicit subspaces of a finite space."""
     joint = np.column_stack([X, Y]) if X.size or Y.size else np.zeros((total_dim, 0))
-    r = _rank(joint)
-    dim_x = _rank(X)
-    dim_y = _rank(Y)
-    inter = dim_x + dim_y - r
-    codim = total_dim - r
-    return FredholmPairReport(inter, codim, inter - codim)
+    return _pair_report(_rank(X), _rank(Y), joint, total_dim)
 
 
 def fredholm_pair(X: ClosedSubspace, Y: ClosedSubspace) -> FredholmPairReport:
@@ -297,8 +309,9 @@ def fredholm_pair(X: ClosedSubspace, Y: ClosedSubspace) -> FredholmPairReport:
         raise ConditionError(
             "tails incompatible: the pair needs one lower-tail and one upper-tail subspace"
         )
-    D = X.condition.basis.total_dim
-    return subspace_pair_index(X.matrix(), Y.matrix(), D)
+    SX, SY = X.matrix(), Y.matrix()
+    # the span columns are orthonormal, so their counts are the dimensions
+    return _pair_report(SX.shape[1], SY.shape[1], np.hstack([SX, SY]), SX.shape[0])
 
 
 def pair_index_identity_check(

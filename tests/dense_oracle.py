@@ -5,8 +5,9 @@ or g touch, and each constraint matrix as per-end touched blocks, with the
 unit columns and rows of the untouched coordinates implied.  This module keeps
 the builders that came before it: every span and constraint matrix as a dense
 array with ``total_dim`` rows or columns, and its singular values from a
-split of the whole matrix into lone columns and one coupled block.  The split route must give the same singular
-values bit for bit, so that no rank decision at the shared cut can move.
+split of the whole matrix into lone columns and one coupled block.  The split
+route must give the same singular values to round-off, and the same counts at
+the shared cut.
 """
 
 import math

@@ -27,6 +27,8 @@ from apslab.boundary_conditions import (
     seeded_graph_condition,
 )
 from apslab.cylinder_solver import (
+    RANK_GAP,
+    RANK_THRESHOLD,
     CylinderProblem,
     CylinderSection,
     _shared_cut,
@@ -179,13 +181,15 @@ class TestCertificateCatches:
         assert str(err.value) == f"truncation certificate failed: {message}"
 
     def test_banded_long_cylinder_miscount_fails_the_formula(self):
-        # index_fresh seed 7 round 2 slot 2 at rho=25: the banded oracle counts
-        # ker 4, coker 1 against the formula index 2
+        # index_fresh seed 7 round 2 slot 2 at rho=25: at the starting cut the
+        # banded oracle counts ker 4, coker 1 against the formula index 2, as it
+        # splits a value of 0.95 and 1.09 times the cut in its two matrices; the
+        # gap in the shared cut keeps that value in both
         P = graph_problem(
             0.18014373174994236, 25.0, 1800582554,
             -0.4278831136217871, 1.2231595559620276, (2, 1), (1, 1),
         )
-        assert banded_oracle.ker_coker(P) == (4, 1)
+        assert banded_oracle.ker_coker(P) == (3, 1)
         with pytest.raises(CertificateError, match="index formula check failed"):
             _certify(P, 4, 1)
         assert index(P).index == 2
@@ -472,9 +476,13 @@ class TestSharedRankCut:
         shift, rho, graph_seed, a, c, left_w, right_w = SPLIT_VALUES[case]
         P = graph_problem(shift, rho, graph_seed, a, c, left_w, right_w)
         A = assemble(P)
-        D, shared = P.basis.total_dim, _shared_cut(*A.spectra)
-        ker, coker = (D - int(np.sum(s > shared)) for s in A.spectra)
-        assert ker - coker != _formula_index(P) and A.cut < shared
+        start = RANK_THRESHOLD * max(s[0] for s in A.spectra)
+        D = P.basis.total_dim
+        ker, coker = (D - int(np.sum(s > start)) for s in A.spectra)
+        # the starting cut splits the two copies of a value, which the gap keeps
+        assert ker - coker != _formula_index(P)
+        kept = np.concatenate(A.spectra)
+        assert kept[(kept > A.cut) & (kept <= start)].min() >= start / RANK_GAP
         rep = index(P)
         assert rep.truncation_certificate["doubled_agrees"] is True
         half = index(graph_problem(shift, rho / 2, graph_seed, a, c, left_w, right_w))
@@ -482,6 +490,25 @@ class TestSharedRankCut:
         res = solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
         assert (len(res.kernel_basis), len(res.obstruction_basis)) == (rep.dim_ker, rep.dim_coker)
         assert kernel_dim(P) == rep.dim_ker
+
+    @pytest.mark.parametrize(
+        "spectra, cut",
+        [
+            # a value on each side of the starting cut 1e-9, within the gap: both kept
+            (([1.0, 1.1e-9], [1.0, 0.9e-9]), 0.0),
+            (([1.0, 1.1e-9, 1e-12], [1.0, 0.9e-9]), 1e-12),
+            # a chain of values, each within the gap of the one above
+            (([1.0, 1.2e-9, 0.6e-9], [1.0, 0.9e-9, 1e-20]), 1e-20),
+            # the value below the cut is not within the gap of the smallest kept
+            (([1.0, 3e-9], [1.0, 0.9e-9]), 1e-9),
+            # ... or too far below the starting cut
+            (([1.0, 1.1e-9], [1.0, 0.4e-9]), 1e-9),
+            (([1.0], [1.0, 0.9e-9]), 1e-9),
+            (([], [0.0]), 0.0),
+        ],
+    )
+    def test_the_cut_sits_in_a_gap(self, spectra, cut):
+        assert _shared_cut(*(np.array(s) for s in spectra)) == cut
 
     @pytest.mark.parametrize("case", sorted(SHORT_CYLINDERS))
     @pytest.mark.parametrize("route", ["dense", "banded"])

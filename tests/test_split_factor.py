@@ -1,6 +1,6 @@
 """The split factorization against dense LAPACK on the whole matrix.
 
-``cylinder_solver._svd`` gives a column alone on its nonzero rows its norm as
+``cylinder_solver._factor`` gives a column alone on its nonzero rows its norm as
 a singular value and sends only the coupled columns, on the rows they touch,
 through ``np.linalg.svd``; ``boundary_conditions._orthonormalize`` normalizes
 such columns in place and runs its pivoted QR on the coupled block.  Here both
@@ -29,7 +29,8 @@ from apslab.cylinder_solver import (
     RANK_THRESHOLD,
     CylinderProblem,
     CylinderSection,
-    _svd,
+    _factor,
+    _Rows,
     adjoint_problem,
     assemble,
     solve_bvp,
@@ -64,15 +65,28 @@ def null_projector(vh, rank):
     return V.conj().T @ V
 
 
-def assert_matches_dense(M, cut=None):
-    """``_svd`` gives the dense spectrum and, at ``cut`` (by default
-    RANK_THRESHOLD times the top singular value), the dense null space."""
+def factor_dense(M, vectors=False):
+    """``_factor`` of a dense matrix, held as one block of dense rows."""
     m, n = M.shape
-    s, none = _svd(M)
-    s_v, vh = _svd(M, vectors=True)
+    none = np.zeros(0, dtype=int)
+    return _factor(_Rows(M.shape, none, none, none, ((np.arange(m), np.arange(n), M),)), vectors)
+
+
+def assert_matches_dense(M, cut=None):
+    """``_factor`` gives the dense spectrum and, at ``cut`` (by default
+    RANK_THRESHOLD times the top singular value), the dense null space."""
+    s, none = factor_dense(M)
+    s_v, vh = factor_dense(M, vectors=True)
     assert none is None
     # both calls rank the values of the values-only routine, bit for bit
     assert np.array_equal(s, s_v)
+    assert_factor_of(M, s, vh, cut)
+
+
+def assert_factor_of(M, s, vh, cut=None):
+    """(s, vh) are the spectrum and right singular vectors of M, and give its
+    dense null space at ``cut``."""
+    m, n = M.shape
     assert s.shape == (min(m, n),)
     assert np.all(np.diff(s) <= 0)
     assert np.allclose(vh @ vh.conj().T, np.eye(n), atol=1e-13)
@@ -122,7 +136,7 @@ def test_degenerate_shapes(shape):
 def test_a_row_shared_by_two_columns_couples_them():
     # columns 0 and 1 are orthogonal to column 2 but not to each other
     M = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
-    s, _ = _svd(M)
+    s, _ = factor_dense(M)
     assert np.allclose(s, [2.0, np.sqrt((3 + np.sqrt(5)) / 2), np.sqrt((3 - np.sqrt(5)) / 2)])
     assert_matches_dense(M)
 
@@ -137,21 +151,20 @@ def test_only_the_coupled_block_reaches_lapack(monkeypatch):
     )
     rng = np.random.default_rng(5)
     M = split_matrix(rng, n_lone=20, n_zero=5, block_shape=(3, 4))
-    _svd(M)
-    _svd(M, vectors=True)
+    factor_dense(M)
+    factor_dense(M, vectors=True)
     # the values always come from the values-only routine; vectors add one
     # full SVD of the block for vh
     assert shapes == [((3, 4), False), ((3, 4), False), ((3, 4), True)]
     shapes.clear()
-    _svd(split_matrix(rng, n_lone=20, n_zero=5, block_shape=(0, 0)), vectors=True)
+    factor_dense(split_matrix(rng, n_lone=20, n_zero=5, block_shape=(0, 0)), vectors=True)
     assert shapes == []
 
 
 # -- _orthonormalize -----------------------------------------------------------
 
 def orthonormalize(M):
-    """``_orthonormalize`` on every row of a dense matrix."""
-    return _orthonormalize(M, np.arange(M.shape[0]), M.shape[0])[0]
+    return _orthonormalize(M)[0]
 
 
 def reference_orthonormalize(M, tol=RANK_TOL):
@@ -253,11 +266,11 @@ def test_assembly_matches_dense_svd(name, rho):
     C = dense_oracle.homogeneous_constraint_matrix(
         P, dense_oracle.span(P.left), dense_oracle.span(P.right), negated=True
     )
-    assert all(np.array_equal(a, b) for a, b in zip(A.dense(), (NL, NR, M)))
+    for a, b in zip(A.dense(), (NL, NR, M)):
+        assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-14
     for N, s, vh, d in zip((M, C), A.spectra, A.vh, A.dims()):
         assert_matches_dense(N, cut=A.cut)
-        s_split, vh_split = _svd(N, vectors=True)
-        assert np.array_equal(s, s_split) and np.array_equal(vh, vh_split)
+        assert_factor_of(N, s, vh, cut=A.cut)
         s_d = np.linalg.svd(N, compute_uv=False) if N.size else np.zeros(0)
         assert d == D - int(np.sum(s_d > A.cut))
     # oracle: the adjoint problem's constraint matrix, from its own perp spans,

@@ -1,16 +1,16 @@
-"""The split assembly against the dense full-basis oracle, bit for bit.
+"""The split assembly against the dense full-basis oracle.
 
 ``assemble`` builds each span from ``(cut, W, g)`` on the coordinates that W
 or g touch, with implied unit columns elsewhere, and each constraint matrix as
 per-end touched blocks with implied unit rows.  ``tests/dense_oracle.py`` keeps
-the dense builders it replaced.  The singular values must be equal under
-``np.array_equal``: on six ``index_fresh`` inputs a singular value sits within
-10% of the shared 1e-9 cut, where a change in the last bit could move a rank
-decision.  The counts of those inputs are known to be wrong (a 1e-13 cut gives
-one less ker and coker), so they are compared with the oracle, not pinned.
-The dense arrays that solves read are equal too, and the kernel and cokernel
-sections match the oracle's to 1e-12.  ``quotient_dim`` reads its nesting from
-the two split spans, checked here against the dense ``membership`` route.
+the dense builders it replaced.  The singular values, and the dense arrays that
+solves read, match the oracle's to round-off, and ker and coker are the
+oracle's exactly, also on six ``index_fresh`` inputs with a singular value
+within 10% of the shared 1e-9 cut.  The counts of those inputs are known to be
+wrong (a 1e-13 cut gives one less ker and coker), so they are compared with the
+oracle, not pinned.  The kernel and cokernel sections match the oracle's to
+1e-12.  ``quotient_dim`` reads its nesting from the two split spans, checked
+here against the dense ``membership`` route.
 """
 
 import time
@@ -101,15 +101,18 @@ def build(name, rho):
 
 
 @pytest.mark.parametrize("name, rho", GRID)
-def test_spectra_equal_the_dense_oracle(name, rho):
+def test_spectra_match_the_dense_oracle(name, rho):
     P = build(name, rho)
     A = assemble(P)
     NL, NR, M, spectra, _, cut = dense_oracle.assemble(P)
+    top = max((s[0] for s in spectra if s.size), default=0.0)
     for s, s_dense in zip(A.spectra, spectra):
-        assert s.shape == s_dense.shape and np.array_equal(s, s_dense)
-    assert A.cut == cut
+        assert s.shape == s_dense.shape
+        assert np.max(np.abs(s - s_dense), initial=0.0) <= 1e-14 * top
+    D = P.basis.total_dim
+    assert A.dims() == tuple(D - int(np.sum(s > cut)) for s in spectra)
     for got, want in zip(A.dense(), (NL, NR, M)):
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-14
     # only the touched coordinates are dense: each end's block covers the
     # coordinates that its own W and g reach
     for end, (pos, cols, block) in zip((P.left, P.right), A.rows.blocks):
