@@ -23,7 +23,6 @@ from .spectral_core import (
 )
 from .expoly import Profile, first_order_solve
 from .boundary_conditions import (
-    AdjointCondition,
     BoundaryCondition,
     ConditionError,
     ModeMap,

@@ -120,17 +120,6 @@ class ModeMap:
                 self._norm = float(np.linalg.norm(M, 2))
         return self._norm
 
-    def growth_constant(self) -> float:
-        """Smallest C with (1 + mu^2) <= C^2 (1 + lambda^2) over all entries."""
-        if not self.entries:
-            return 1.0
-        ratios = []
-        for tgt, src in self.entries:
-            lam = self.basis.eigenvalue(src)
-            mu = self.basis.eigenvalue(tgt)
-            ratios.append((1.0 + mu * mu) / (1.0 + lam * lam))
-        return math.sqrt(max(max(ratios), 1.0))
-
     def adjoint(self) -> "ModeMap":
         entries = {(s, t): b.conj().T for (t, s), b in self.entries.items()}
         return ModeMap(self.basis, entries, self.tag)
@@ -234,14 +223,28 @@ class Span:
         Q[np.ix_(self.rows, self.block_pos)] = self.block
         return Q
 
-    def touching(self, coords: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def touching(
+        self,
+        coords: np.ndarray,
+        unit: np.ndarray,
+        rows: np.ndarray,
+        block: Optional[np.ndarray] = None,
+        unit_val: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """The columns that touch the sorted coordinates ``coords``, on them, as a
-        dense array; ``unit`` and ``rows`` are the span's own coordinates,
-        expressed in the coordinates of ``coords``."""
+        dense array in the span's column order; ``unit`` and ``rows`` are the
+        span's own coordinates, expressed in the coordinates of ``coords``.
+        ``block`` and ``unit_val`` (one value per unit column) take the places
+        of the span's block and of the 1.0 of its unit columns."""
+        block = self.block if block is None else block
         inner = np.flatnonzero(np.isin(unit, coords))
-        X = np.zeros((coords.size, self.block.shape[1] + inner.size), dtype=complex)
-        X[np.searchsorted(coords, rows), : self.block.shape[1]] = self.block
-        X[np.searchsorted(coords, unit[inner]), self.block.shape[1] + np.arange(inner.size)] = 1.0
+        pos = np.concatenate([self.block_pos, self.unit_pos[inner]])
+        at = np.searchsorted(np.sort(pos), pos)
+        X = np.zeros((coords.size, pos.size), dtype=complex)
+        X[np.searchsorted(coords, rows)[:, None], at[: block.shape[1]]] = block
+        X[np.searchsorted(coords, unit[inner]), at[block.shape[1] :]] = (
+            1.0 if unit_val is None else unit_val[inner]
+        )
         return X
 
 
@@ -437,18 +440,6 @@ class BoundaryCondition:
         v = np.linalg.solve(np.eye(x.shape[0]) + G.conj().T @ G, rhs)
         return v + G @ v
 
-    def cograph_projector_apply(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto graph(-g^*) = {u - g^* u, u in V_+}."""
-        lower = self._side_mask(lower=True)
-        W = self.w_all()
-        xv = x - W @ (W.conj().T @ x) if W.size else x.copy()
-        xm = np.where(lower, xv, 0)
-        xp = np.where(~lower, xv, 0)
-        G = self.g.dense()
-        rhs = xp - G @ xm
-        u = np.linalg.solve(np.eye(x.shape[0]) + G @ G.conj().T, rhs)
-        return u - G.conj().T @ u
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto B = W_plus (+) graph(g)."""
         out = self.graph_projector_apply(x)
@@ -486,17 +477,6 @@ class BoundaryCondition:
             ModeMap(basis, self.g.entries, self.g.tag),
             self.provenance,
         )
-
-
-@dataclasses.dataclass
-class AdjointCondition:
-    """A boundary condition over the adjoint-side basis, with the sigma_0 used."""
-
-    condition: BoundaryCondition
-    sigma0: SigmaZero
-
-    def membership(self, phi: BoundarySection, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.condition.membership(phi, tol)
 
 
 # -- constructors ----------------------------------------------------------
@@ -598,16 +578,13 @@ def make_transmission(doubled_basis: EigenmodeBasis) -> BoundaryCondition:
 
 # -- operations ------------------------------------------------------------
 
-def adjoint(B, sigma0: Optional[SigmaZero] = None) -> AdjointCondition:
+def adjoint(B: BoundaryCondition, sigma0: Optional[SigmaZero] = None) -> BoundaryCondition:
     """The adjoint boundary condition (sigma_0^{-1})^* (W_minus (+) {v - g^* v}).
 
     Built in canonical graph form over the adjoint-side basis; the beta pairing
-    of any member of B with any member of the result vanishes.
+    of any member of B with any member of the result vanishes.  The adjoint of
+    the result, over ``sigma0.adjoint_sigma()``, spans B again.
     """
-    if isinstance(B, AdjointCondition):
-        if sigma0 is None:
-            sigma0 = B.sigma0.adjoint_sigma()
-        B = B.condition
     if sigma0 is None:
         raise ConditionError("adjoint needs the sigma_0 of the model operator")
     if not sigma0.basis.same_modes(B.basis):
@@ -632,7 +609,7 @@ def adjoint(B, sigma0: Optional[SigmaZero] = None) -> AdjointCondition:
         entries[(sigma0.tau(s), sigma0.tau(t))] = block
     g_ad = ModeMap(ab, entries, B.g.tag)
 
-    cond = BoundaryCondition(
+    return BoundaryCondition(
         ab,
         cut,
         carry(B.w_minus),
@@ -640,7 +617,6 @@ def adjoint(B, sigma0: Optional[SigmaZero] = None) -> AdjointCondition:
         g_ad,
         provenance=B.provenance,
     )
-    return AdjointCondition(cond, sigma0)
 
 
 def complement_condition(B: BoundaryCondition) -> BoundaryCondition:

@@ -134,16 +134,6 @@ class CylinderSection:
     def l2_norm_sq(self) -> float:
         return float(np.real(self.l2_inner(self)))
 
-    def grid_l2_norm_sq(self, n: int = 64) -> float:
-        """Trapezoid cross-check of the exact L^2 norm on an n-point t-grid."""
-        ts = np.linspace(0.0, self.rho, n)
-        total = 0.0
-        for profs in self.profiles.values():
-            for p in profs:
-                vals = np.abs(np.array([p(t) for t in ts])) ** 2
-                total += float(np.trapezoid(vals, ts))
-        return total
-
     def sup_on_grid(self, n: int = 64) -> float:
         best = 0.0
         for profs in self.profiles.values():
@@ -293,9 +283,9 @@ def adjoint_problem(P: CylinderProblem) -> CylinderProblem:
     """
     ab = P.sigma0.adjoint_basis()
     as0 = P.sigma0.adjoint_sigma()
-    left_ad = adjoint(P.left, P.sigma0).condition
+    left_ad = adjoint(P.left, P.sigma0)
     neg_sigma = P.sigma0.negated_boundary()
-    right_ad = adjoint(P.right.on_basis(neg_sigma.basis), neg_sigma).condition
+    right_ad = adjoint(P.right.on_basis(neg_sigma.basis), neg_sigma)
     return CylinderProblem(ab, as0, P.rho, left_ad.on_basis(ab), right_ad)
 
 
@@ -342,99 +332,40 @@ def homogeneous_constraint_matrix(span: Span, scale: np.ndarray) -> np.ndarray:
     return span.block.conj().T * scale[np.newaxis, :]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Rows:
-    """The rows of a constraint matrix of ``shape``.
+def _factor(
+    M: np.ndarray,
+    vectors: bool = False,
+    shape: Optional[tuple] = None,
+    at: Optional[np.ndarray] = None,
+    norms: Optional[np.ndarray] = None,
+) -> tuple:
+    """(s, vh): the singular values of a matrix in descending order, and with
+    ``vectors`` a square vh whose rows are the matching right singular vectors;
+    without them, vh is None.
 
-    At each position ``unit_pos`` is a unit row, with the value ``unit_val`` in
-    column ``unit_col``; ``blocks`` holds per end a block of dense rows, at the
-    positions ``pos``, on the columns ``cols``: (pos, cols, block).
+    The matrix is M, or one of ``shape`` whose columns ``at`` are those of M,
+    on some of its rows, and whose every other column j is alone on rows of its
+    own with the norm ``norms[j]``.  A column alone on its nonzero rows (see
+    ``_coupled_block``) has its norm as a singular value and a unit vector as
+    its right singular vector; a block-diagonal matrix has the union of its
+    blocks' spectra.  So only the coupled columns, on the rows they touch, go
+    through ``np.linalg.svd``.  ``s`` has min(shape) entries, as a dense SVD
+    gives, sorted stably from the lone columns in column order followed by the
+    coupled block.  The values always come from the values-only routine, and
+    ``vectors`` adds a full SVD of the block for vh alone, so that a call with
+    vectors ranks the very numbers that one without them ranks.
     """
-
-    shape: tuple
-    unit_pos: np.ndarray
-    unit_col: np.ndarray
-    unit_val: np.ndarray
-    blocks: tuple
-
-    def dense(self) -> np.ndarray:
-        M = np.zeros(self.shape, dtype=complex)
-        M[self.unit_pos, self.unit_col] = self.unit_val
-        for pos, cols, block in self.blocks:
-            M[np.ix_(pos, cols)] = block
-        return M
-
-    def gather(self, keep: np.ndarray) -> np.ndarray:
-        """The matrix on the sorted columns ``keep`` and on the rows with a
-        nonzero entry in them, in matrix order."""
-        inside = np.zeros(self.shape[1], dtype=bool)
-        inside[keep] = True
-        u = inside[self.unit_col] & (self.unit_val != 0)
-        cuts = [inside[cols] for _, cols, _ in self.blocks]
-        hits = [(block != 0)[:, cut].any(axis=1) for (_, _, block), cut in zip(self.blocks, cuts)]
-        rows = np.sort(np.concatenate(
-            [self.unit_pos[u]] + [pos[hit] for (pos, _, _), hit in zip(self.blocks, hits)]
-        ))
-        X = np.zeros((rows.size, keep.size), dtype=complex)
-        X[np.searchsorted(rows, self.unit_pos[u]), np.searchsorted(keep, self.unit_col[u])] = (
-            self.unit_val[u]
-        )
-        for (pos, cols, block), cut, hit in zip(self.blocks, cuts, hits):
-            X[np.searchsorted(rows, pos[hit])[:, None], np.searchsorted(keep, cols[cut])] = (
-                block[np.ix_(hit, cut)]
-            )
-        return X
-
-
-def _constraint_rows(P: CylinderProblem, left: Span, right: Span, scales: tuple) -> _Rows:
-    """The constraint rows that the spans ``left`` and ``right`` of P's two ends
-    give, with the values (at t=0, at t=rho) of the homogeneous solutions.
-
-    The left span's rows come first, then the right span's, each in its column
-    order; the right end's coordinates, those of the negated basis, are taken
-    back to P's.
-    """
-    units, blocks, start = [], [], 0
-    for span, other, d in ((left, P.left.basis, scales[0]), (right, P.right.basis, scales[1])):
-        coords = _coords_in(other, P.basis, np.concatenate([span.unit, span.rows]))
-        unit, cols = coords[: span.unit.size], coords[span.unit.size :]
-        units.append((span.unit_pos + start, unit, d[unit]))
-        blocks.append((span.block_pos + start, cols, homogeneous_constraint_matrix(span, d[cols])))
-        start += span.shape[1]
-    unit_pos, unit_col, unit_val = (np.concatenate(part) for part in zip(*units))
-    return _Rows((start, P.basis.total_dim), unit_pos, unit_col, unit_val, tuple(blocks))
-
-
-def _factor(R: _Rows, vectors: bool = False) -> tuple:
-    """(s, vh): the singular values of the matrix R holds, in descending order,
-    and with ``vectors`` a square vh whose rows are the matching right singular
-    vectors; without them, vh is None.
-
-    A column alone on its nonzero rows (see ``_coupled_block``) has its norm as
-    a singular value and a unit vector as its right singular vector; a
-    block-diagonal matrix has the union of its blocks' spectra.  A unit row has
-    one entry, so only dense rows couple columns, and only the coupled columns,
-    on the rows they touch, go through ``np.linalg.svd``.  A column that no
-    dense row touches has the norm sqrt(d0^2 + dr^2) of its unit entries, in
-    closed form.  ``s`` has min(R.shape) entries, as a dense SVD gives.  The
-    values always come from the values-only routine, and ``vectors`` adds a
-    full SVD of the block for vh alone, so that a call with vectors ranks the
-    very numbers that one without them ranks.
-    """
-    m, n = R.shape
-    is_coupled, is_touched = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    for _, cols, block in R.blocks:
-        z = block != 0
-        is_coupled[cols[z[np.count_nonzero(z, axis=1) > 1].any(axis=0)]] = True
-        is_touched[cols[z.any(axis=0)]] = True
-    coupled, lone = is_coupled.nonzero()[0], (~is_coupled).nonzero()[0]
-    values = np.sqrt(np.bincount(R.unit_col, R.unit_val * R.unit_val, n)[lone])
-    touched = (is_touched & ~is_coupled).nonzero()[0]
-    if touched.size:
-        values[np.searchsorted(lone, touched)] = np.linalg.norm(R.gather(touched), axis=0)
-    values = [values]
+    m, n = M.shape if shape is None else shape
+    at = np.arange(n) if at is None else at
+    cols, rows = _coupled_block(M)
+    values = np.zeros(n) if norms is None else norms.copy()
+    values[at[~cols]] = np.linalg.norm(M[:, ~cols], axis=0)
+    lone = np.ones(n, dtype=bool)
+    lone[at[cols]] = False
+    lone, coupled = lone.nonzero()[0], at[cols]
+    values = [values[lone]]
     if coupled.size:
-        B = R.gather(coupled)
+        B = M[np.ix_(rows, cols)]
         sb = np.linalg.svd(B, compute_uv=False)
         if vectors:
             vhb = np.linalg.svd(B)[2]
@@ -449,6 +380,36 @@ def _factor(R: _Rows, vectors: bool = False) -> tuple:
     if coupled.size:
         vh[lone.size :, coupled] = vhb
     return s, vh[order]
+
+
+def _factor_constraints(
+    P: CylinderProblem, left: Span, right: Span, scales: tuple, vectors: bool
+) -> tuple:
+    """``_factor`` of the constraint rows that the spans ``left`` and ``right``
+    of P's two ends give, with the values (at t=0, at t=rho) of the homogeneous
+    solutions: the left span's rows, then the right span's, each in its column
+    order, over P's coordinates.
+
+    A coordinate outside T, the union of the two spans' dense rows, carries at
+    most a unit row per end, so its column has the norm sqrt(d0^2 + dr^2) of
+    the unit entries it has, in closed form.  The columns on T form one dense
+    block: each end's ``homogeneous_constraint_matrix`` and its unit rows at
+    coordinates in T, placed by ``Span.touching``.
+    """
+    ends = [
+        (span, *(_coords_in(b, P.basis, x) for x in (span.unit, span.rows)), d)
+        for span, b, d in ((left, P.left.basis, scales[0]), (right, P.right.basis, scales[1]))
+    ]
+    T = np.union1d(ends[0][2], ends[1][2])  # the dense rows of both spans
+    sq, parts = np.zeros(P.basis.total_dim), []
+    for span, unit, rows, d in ends:
+        sq[unit] += d[unit] * d[unit]
+        H = homogeneous_constraint_matrix(span, d[rows])
+        parts.append(span.touching(T, unit, rows, H.T, d[unit]).T)
+    M = np.vstack(parts)
+    del parts, H  # dropped before the factorization's own copies are made
+    shape = (left.shape[1] + right.shape[1], P.basis.total_dim)
+    return _factor(M, vectors, shape, T, np.sqrt(sq))
 
 
 def _shared_cut(*spectra: np.ndarray) -> float:
@@ -502,21 +463,21 @@ def _unitary_part(sigma0: SigmaZero, ab: EigenmodeBasis) -> np.ndarray:
 class Assembly:
     """The constraint matrix of a problem and its cokernel matrix, factored.
 
-    ``NL`` and ``NR`` are the perp spans of the problem's two ends and ``rows``
-    its constraint matrix, all split: untouched coordinates carry implied unit
-    columns and rows, and only the touched ones are dense.  ``dense()`` lays
-    them out in full for a solve.  ``spectra`` and ``vh`` hold the singular
-    values and square right singular vectors of the constraint matrix and of
-    the cokernel matrix; the entries of ``vh`` are None without vectors.
-    ``adjoint_basis``, set only with vectors, is the basis of the adjoint side,
-    over which the cokernel sections live.
+    ``NL`` and ``NR`` are the split perp spans of the problem's two ends, and
+    ``scales`` the values (at t=0, at t=rho) of the normalized homogeneous
+    solutions, per coordinate of the problem's basis: the constraint matrix is
+    NL^* d0 over NR^* dr, which ``dense()`` lays out in full for a solve.
+    ``spectra`` and ``vh`` hold the singular values and square right singular
+    vectors of the constraint matrix and of the cokernel matrix; the entries of
+    ``vh`` are None without vectors.  ``adjoint_basis``, set only with vectors,
+    is the basis of the adjoint side, over which the cokernel sections live.
     """
 
     problem: CylinderProblem
     adjoint_basis: Optional[EigenmodeBasis]
     NL: Span
     NR: Span
-    rows: _Rows
+    scales: tuple
     spectra: tuple
     vh: tuple
     cut: float
@@ -528,7 +489,14 @@ class Assembly:
 
     def dense(self) -> tuple:
         """(NL, NR, M): the two perp spans and the constraint matrix as dense arrays."""
-        return self.NL.dense(), self.NR.dense(), self.rows.dense()
+        P = self.problem
+        NL, NR = self.NL.dense(), self.NR.dense()
+        coords = np.arange(P.basis.total_dim)
+        M = np.vstack([
+            Q[_coords_in(P.basis, cond.basis, coords)].conj().T * d
+            for Q, cond, d in ((NL, P.left, self.scales[0]), (NR, P.right, self.scales[1]))
+        ])
+        return NL, NR, M
 
     def sections(self) -> tuple:
         """Orthonormal (kernel, cokernel) sections, from the last rows of each vh.
@@ -554,25 +522,23 @@ def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
     unitary U^* on the right: the two share their singular values, and no
     adjoint problem is built.  The normalized value of e^{+lambda t} at one end
     is that of e^{-lambda t} at the other, so the cokernel matrix takes the two
-    ends' scales swapped, bit for bit.  sigma_0 enters only the cokernel
-    sections.
+    ends' scales swapped.  sigma_0 enters only the cokernel sections.
 
-    Both matrices are built from the split spans of the two ends, so only the
-    coordinates that W or g touch are dense, and only their coupled block takes
-    an SVD (an APS problem takes none); the rest costs O(total_dim).  The
-    singular values are those of the dense full-basis matrices, to round-off.
-    Right singular vectors are taken only with ``vectors``, for the kernel and
+    Each matrix is factored by ``_factor`` on the coordinates T that the two
+    ends' W or g touch, one dense block; every other coordinate has a column
+    of at most one unit entry per end and its singular value in closed form
+    (``_factor_constraints``).  So only the coupled columns of T take an SVD
+    (an APS problem takes none), and the rest costs O(total_dim).  Right
+    singular vectors are taken only with ``vectors``, for the kernel and
     cokernel sections; without them no square vh is allocated.
     """
     d0, dr = _homogeneous_scales(P.basis, P.rho)
-    C = _constraint_rows(P, P.left.span_matrix(), P.right.span_matrix(), (dr, d0))
-    s_co, vh_co = _factor(C, vectors)
-    del C  # dropped before P's spans and rows are built
+    S = (P.left.span_matrix(), P.right.span_matrix())
+    s_co, vh_co = _factor_constraints(P, *S, (dr, d0), vectors)
     NL, NR = P.left.perp_span_matrix(), P.right.perp_span_matrix()
-    rows = _constraint_rows(P, NL, NR, (d0, dr))
-    s, vh = _factor(rows, vectors)
+    s, vh = _factor_constraints(P, NL, NR, (d0, dr), vectors)
     ab = P.sigma0.adjoint_basis() if vectors else None
-    return Assembly(P, ab, NL, NR, rows, (s, s_co), (vh, vh_co), _shared_cut(s, s_co))
+    return Assembly(P, ab, NL, NR, (d0, dr), (s, s_co), (vh, vh_co), _shared_cut(s, s_co))
 
 
 def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:

@@ -6,15 +6,15 @@ obeys a pure per-mode sign rule.  There is one production route, the ranks
 of two matrices decided against one singular-value cut that they share: the
 problem's constraint matrix, and its cokernel matrix, built from the spans of
 the problem's own conditions (the adjoint's constraint matrix up to a unitary
-factor, so no adjoint problem is built).  Both are built split, from the
-cut, W and g of each end: a coordinate that no W data or g touch carries a
-unit row per end where its condition constrains it, and its singular value
-sqrt(d0^2 + dr^2) in closed form from the scales of its homogeneous solution
-at the two ends.  Only the touched coordinates are dense, and only their
-coupled block takes an SVD.  The shared cut sits in a gap of the two
-spectra (``cylinder_solver._shared_cut``).  The tests keep
-two oracles: the dense full-basis assembly, and a banded one (sign table plus
-a small block on the touched modes, from raw generators).
+factor, so no adjoint problem is built).  Every rank here, those two and the
+one behind ``fredholm_pair``, is taken the same way: the coordinates that no
+W data or g touch carry unit columns and rows, whose singular values are
+known in closed form, and the touched coordinates form one small dense block,
+factored by ``cylinder_solver._factor`` (lone columns take their norms, and
+only the coupled ones an SVD).  The shared cut sits in a gap of the two
+spectra (``cylinder_solver._shared_cut``).  The tests keep two oracles: the
+dense full-basis assembly, and a banded one (sign table plus a small block on
+the touched modes, from raw generators).
 
 A certified report passes two checks.  The formula check: every condition is
 in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it
@@ -43,13 +43,13 @@ from .boundary_conditions import (
     ORTHO_TOL,
     BoundaryCondition,
     ConditionError,
-    _coupled_block,
+    _coords_in,
     complement_condition,
     deform,
     make_chiral,
     make_generalized_aps,
 )
-from .cylinder_solver import RANK_THRESHOLD, CylinderProblem, assemble
+from .cylinder_solver import RANK_THRESHOLD, CylinderProblem, _factor, assemble
 
 class CertificateError(RuntimeError):
     """Raised when a certified index fails the formula check or the doubling check.
@@ -89,31 +89,6 @@ class FredholmPairReport:
     index: int
 
 
-def _rank(M: np.ndarray) -> int:
-    """The rank of M at RANK_THRESHOLD times its largest singular value.
-
-    A column alone on its nonzero rows (see ``_coupled_block``) has its norm as
-    a singular value; only the coupled columns, on their rows, take an SVD.
-    """
-    cols, rows = _coupled_block(M)
-    s = np.concatenate([
-        np.linalg.norm(M[:, ~cols], axis=0),
-        np.linalg.svd(M[np.ix_(rows, cols)], compute_uv=False),
-    ])
-    return int(np.sum(s > RANK_THRESHOLD * s.max(initial=0.0)))
-
-
-def _touched_modes(cond: BoundaryCondition) -> set:
-    """The mode ids that carry W support or a g entry of ``cond``.
-
-    Every other mode obeys the per-mode sign rule at that end.
-    """
-    b = cond.basis
-    rows = np.flatnonzero(np.any(cond.w_all() != 0, axis=1))
-    ids = {b.modes[i].mode_id for i in np.unique(b.coord_mode[rows]).tolist()}
-    return ids | cond.g.source_ids() | cond.g.target_ids()
-
-
 def kernel_dim(P: CylinderProblem) -> int:
     """dim ker P, decided against the cut shared with P's cokernel matrix, as in ``index``."""
     return assemble(P).dims()[0]
@@ -125,9 +100,9 @@ def _formula_index(P: CylinderProblem) -> int:
 
 
 def _band_limited(cond: BoundaryCondition) -> bool:
-    """True when every mode that ``cond``'s data touch has |lambda| <= band_limit."""
+    """True when every coordinate that ``cond``'s data touch has |lambda| <= band_limit."""
     b = cond.basis
-    return all(abs(b.eigenvalue(j)) <= b.band_limit + ORTHO_TOL for j in _touched_modes(cond))
+    return bool(np.all(np.abs(b.coord_eigenvalue[cond._touched[0]]) <= b.band_limit + ORTHO_TOL))
 
 
 def _doubling_counts(P: CylinderProblem, b2: EigenmodeBasis) -> tuple:
@@ -278,40 +253,46 @@ class ClosedSubspace:
     def tail(self) -> str:
         return "upper" if self.complement else "lower"
 
-    def matrix(self) -> np.ndarray:
-        if self.complement:
-            return self.condition.perp_span_matrix().dense()
-        return self.condition.span_matrix().dense()
-
     def orthocomplement(self) -> "ClosedSubspace":
         return ClosedSubspace(self.condition, not self.complement)
 
 
-def _pair_report(dim_x: int, dim_y: int, joint: np.ndarray, total_dim: int) -> FredholmPairReport:
-    """The pair report of subspaces of dimensions dim_x and dim_y whose
-    spanning columns, side by side, are ``joint``."""
-    r = _rank(joint)
-    inter, codim = dim_x + dim_y - r, total_dim - r
-    return FredholmPairReport(inter, codim, inter - codim)
-
-
-def subspace_pair_index(X: np.ndarray, Y: np.ndarray, total_dim: int) -> FredholmPairReport:
-    """The pair index of two explicit subspaces of a finite space."""
-    joint = np.column_stack([X, Y]) if X.size or Y.size else np.zeros((total_dim, 0))
-    return _pair_report(_rank(X), _rank(Y), joint, total_dim)
-
-
 def fredholm_pair(X: ClosedSubspace, Y: ClosedSubspace) -> FredholmPairReport:
-    """Pair index dim(X cap Y) - dim(H / (X + Y)) over the shared truncated basis."""
-    if not X.condition.basis.same_modes(Y.condition.basis):
+    """Pair index dim(X cap Y) - dim(H / (X + Y)) over the shared truncated basis.
+
+    With r the rank of the span columns [X | Y] side by side, dim(X cap Y) is
+    dim X + dim Y - r and the codimension of X + Y is total_dim - r; the span
+    columns are orthonormal, so dim X and dim Y are their counts.  r is taken
+    at RANK_THRESHOLD times the largest singular value of [X | Y].  On the
+    coordinates that either span's dense block touches, every column goes
+    through ``_factor``.  A unit column off them is alone on its row, but for
+    a unit column of the other span at the same coordinate: each such
+    coordinate adds 1 to r, with the singular value 1, or sqrt(2) when the
+    two spans share it.
+    """
+    bx, by = X.condition.basis, Y.condition.basis
+    if not bx.same_modes(by):
         raise BasisMismatchError("pair subspaces live over different mode lattices")
     if {X.tail(), Y.tail()} != {"lower", "upper"}:
         raise ConditionError(
             "tails incompatible: the pair needs one lower-tail and one upper-tail subspace"
         )
-    SX, SY = X.matrix(), Y.matrix()
-    # the span columns are orthonormal, so their counts are the dimensions
-    return _pair_report(SX.shape[1], SY.shape[1], np.hstack([SX, SY]), SX.shape[0])
+    SX, SY = (
+        Z.condition.perp_span_matrix() if Z.complement else Z.condition.span_matrix()
+        for Z in (X, Y)
+    )
+    ux, uy, ry = SX.unit, _coords_in(by, bx, SY.unit), _coords_in(by, bx, SY.rows)
+    near = np.union1d(SX.rows, ry)
+    s = _factor(np.hstack([SX.touching(near, ux, SX.rows), SY.touching(near, uy, ry)]))[0]
+    ox, oy = ux[~np.isin(ux, near)], uy[~np.isin(uy, near)]
+    top = max(
+        s.max(initial=0.0),
+        float(ox.size + oy.size > 0),
+        np.sqrt(2.0) if np.intersect1d(ox, oy).size else 0.0,
+    )
+    r = np.union1d(ox, oy).size + int(np.sum(s > RANK_THRESHOLD * top))
+    inter, codim = SX.shape[1] + SY.shape[1] - r, SX.total_dim - r
+    return FredholmPairReport(inter, codim, inter - codim)
 
 
 def pair_index_identity_check(

@@ -15,8 +15,18 @@ import numpy as np
 
 from apslab.boundary_conditions import BoundaryCondition
 from apslab.cylinder_solver import CylinderProblem, _shared_cut, adjoint_problem
-from apslab.index_calculus import _touched_modes
 from apslab.spectral_core import EigenmodeBasis
+
+
+def touched_modes(cond: BoundaryCondition) -> set:
+    """The mode ids that carry W support or a g entry of ``cond``.
+
+    Every other mode obeys the per-mode sign rule at that end.
+    """
+    b = cond.basis
+    rows = np.flatnonzero(np.any(cond.w_all() != 0, axis=1))
+    ids = {b.modes[i].mode_id for i in np.unique(b.coord_mode[rows]).tolist()}
+    return ids | cond.g.source_ids() | cond.g.target_ids()
 
 
 def _condition_generators(cond: BoundaryCondition, touched: list) -> list:
@@ -51,7 +61,7 @@ def _banded_system(P: CylinderProblem) -> tuple:
     This route shares no assembly code with the dense one.
     """
     basis = P.basis
-    touched = _touched_modes(P.left) | _touched_modes(P.right)
+    touched = touched_modes(P.left) | touched_modes(P.right)
 
     total = 0
     for m in basis.modes:

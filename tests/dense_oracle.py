@@ -7,7 +7,9 @@ the builders that came before it: every span and constraint matrix as a dense
 array with ``total_dim`` rows or columns, and its singular values from a
 split of the whole matrix into lone columns and one coupled block.  The split
 route must give the same singular values to round-off, and the same counts at
-the shared cut.
+the shared cut.  It also keeps the dense route of the Fredholm pair index:
+the rank of the two spans' full columns side by side, at RANK_THRESHOLD times
+its largest singular value.
 """
 
 import math
@@ -16,7 +18,8 @@ import numpy as np
 from scipy import linalg as sla
 
 from apslab.boundary_conditions import RANK_TOL, _mode_positions
-from apslab.cylinder_solver import Assembly, CylinderProblem, _shared_cut
+from apslab.cylinder_solver import RANK_THRESHOLD, Assembly, CylinderProblem, _shared_cut
+from apslab.index_calculus import FredholmPairReport
 
 
 def coupled_block(M):
@@ -166,5 +169,30 @@ def assemble(P: CylinderProblem, vectors=False):
 def sections(P: CylinderProblem) -> tuple:
     """(kernel, cokernel) sections of P from the dense factorization's vectors."""
     *_, spectra, vh, cut = assemble(P, vectors=True)
-    A = Assembly(P, P.sigma0.adjoint_basis(), None, None, None, spectra, vh, cut)
+    A = Assembly(
+        P, P.sigma0.adjoint_basis(), NL=None, NR=None, scales=None, spectra=spectra, vh=vh, cut=cut
+    )
     return A.sections()
+
+
+def rank(M):
+    """The rank of M at RANK_THRESHOLD times its largest singular value, from ``svd``."""
+    s = svd(M)[0]
+    return int(np.sum(s > RANK_THRESHOLD * s.max(initial=0.0)))
+
+
+def subspace_pair_index(X, Y, total_dim):
+    """The pair report of the column spans of X and Y in a space of ``total_dim``."""
+    joint = np.column_stack([X, Y]) if X.size or Y.size else np.zeros((total_dim, 0))
+    r = rank(joint)
+    inter, codim = rank(X) + rank(Y) - r, total_dim - r
+    return FredholmPairReport(inter, codim, inter - codim)
+
+
+def fredholm_pair(X, Y):
+    """The pair report of two ``ClosedSubspace``s from their dense span columns."""
+    SX, SY = (
+        (Z.condition.perp_span_matrix() if Z.complement else Z.condition.span_matrix()).dense()
+        for Z in (X, Y)
+    )
+    return subspace_pair_index(SX, SY, SX.shape[0])

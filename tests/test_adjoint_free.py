@@ -84,7 +84,7 @@ def coefficients(sections):
 def test_adjoint_condition_spans_u_times_the_condition(name):
     P = PROBLEMS[name](1.0)
     for B, sigma in ends(P):
-        ad = adjoint(B, sigma).condition
+        ad = adjoint(B, sigma)
         U = _unitary_part(sigma.on_basis(B.basis), ad.basis)
         assert np.allclose(U.conj().T @ U, np.eye(B.basis.total_dim), atol=1e-14)
         UB = U @ B.span_matrix().dense()

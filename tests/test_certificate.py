@@ -41,7 +41,6 @@ from apslab.index_calculus import (
     _certify,
     _doubling_counts,
     _formula_index,
-    _touched_modes,
     chiral_block_basis,
     cobordism_check,
     index,
@@ -97,7 +96,7 @@ def exact_doubled(P, route="dense"):
     added = _doubling_counts(P, P.basis.extended(2))
     P2 = doubled(P)
     for end, end2 in ((P.left, P2.left), (P.right, P2.right)):
-        assert _touched_modes(end2) == _touched_modes(end)
+        assert banded_oracle.touched_modes(end2) == banded_oracle.touched_modes(end)
     assert _formula_index(P2) == _formula_index(P) + added[0] - added[1]
     return ker + added[0], coker + added[1]
 
@@ -420,7 +419,7 @@ class TestCertificateWork:
         assert rep.truncation_certificate["doubled_agrees"] is True
         widths, blocks = counted["svd_widths"], counted["matrices"]
         assert counted == self.once(blocks, widths)
-        touched = index_calculus._touched_modes(P.left) | index_calculus._touched_modes(P.right)
+        touched = banded_oracle.touched_modes(P.left) | banded_oracle.touched_modes(P.right)
         coords = sum(P.basis.fiber_dim(mid) for mid in touched)
         assert len(widths) == 2 and len(blocks) == 4
         assert 0 < max(widths) <= coords < 20

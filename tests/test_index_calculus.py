@@ -5,8 +5,11 @@ identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banded_oracle
+import dense_oracle
 from apslab.boundary_conditions import (
     ConditionError,
     make_generalized_aps,
@@ -28,7 +31,6 @@ from apslab.index_calculus import (
     index,
     pair_index_identity_check,
     split_check,
-    subspace_pair_index,
 )
 from apslab.spectral_core import EigenmodeBasis, SigmaZero
 
@@ -212,7 +214,7 @@ class TestFredholmPairs:
     def test_finite_dimensional_sanity(self):
         X = np.array([[1.0], [0.0]])
         Y = np.array([[0.0], [1.0]])
-        rep = subspace_pair_index(X, Y, 2)
+        rep = dense_oracle.subspace_pair_index(X, Y, 2)
         assert rep == FredholmPairReport(0, 0, 0)
 
     def test_aps_pair_counts_modes_between_cuts(self, basis):
@@ -262,13 +264,43 @@ class TestFredholmPairs:
         b = EigenmodeBasis.lattice(4, band_limit=2.0)
         empty = ClosedSubspace(make_generalized_aps(b, -100.0))
         upper = ClosedSubspace(make_generalized_aps(b, 0.5), complement=True)
-        assert empty.matrix().shape == (9, 0)
+        assert empty.condition.span_matrix().shape == (9, 0)
         # nothing meets the 4 modes above 0.5, and the 5 below it are missed
         assert fredholm_pair(empty, upper) == FredholmPairReport(0, 5, -5)
         empty_perp = ClosedSubspace(make_generalized_aps(b, 100.0), complement=True)
         lower = ClosedSubspace(make_generalized_aps(b, 0.5))
-        assert empty_perp.matrix().shape == (9, 0)
+        assert empty_perp.condition.perp_span_matrix().shape == (9, 0)
         assert fredholm_pair(lower, empty_perp) == FredholmPairReport(0, 4, -4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_split_pair_matches_the_dense_route(self, data):
+        # APS and graph pairs, with or without W and g, whose touched modes
+        # overlap or not, either one the complement; cuts of +-100 give the
+        # empty subspaces of test_empty_subspace
+        fiber = data.draw(st.sampled_from([1, 2]))
+        b = EigenmodeBasis.lattice(5, shift=0.2, fiber_dim=fiber, band_limit=5.0)
+
+        def condition():
+            if data.draw(st.booleans()):
+                cut = data.draw(st.sampled_from([-100.0, -0.5, 1.5, 100.0]))
+                return make_generalized_aps(b, cut)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+            return seeded_graph_condition(
+                b,
+                rng,
+                cut=data.draw(st.sampled_from([-0.5, 0.5, 1.5])),
+                dim_w_plus=data.draw(st.integers(0, 1)),
+                dim_w_minus=data.draw(st.integers(0, 1)),
+                g_norm=data.draw(st.sampled_from([0.0, 0.6, 3.0])),
+                n_g_pairs=data.draw(st.integers(1, 2)),
+            )
+
+        lower, upper = condition(), condition()
+        X, Y = ClosedSubspace(lower), ClosedSubspace(upper, complement=True)
+        if data.draw(st.booleans()):
+            X, Y = Y, X
+        assert fredholm_pair(X, Y) == dense_oracle.fredholm_pair(X, Y)
 
     def test_incompatible_tails_rejected(self, basis):
         X = ClosedSubspace(make_generalized_aps(basis, 0.0))

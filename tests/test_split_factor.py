@@ -17,6 +17,7 @@ import pytest
 from scipy import linalg as sla
 
 import dense_oracle
+from banded_oracle import touched_modes
 from apslab.boundary_conditions import (
     RANK_TOL,
     _orthonormalize,
@@ -30,13 +31,13 @@ from apslab.cylinder_solver import (
     CylinderProblem,
     CylinderSection,
     _factor,
-    _Rows,
     adjoint_problem,
     assemble,
     solve_bvp,
 )
 from apslab.index_calculus import chiral_block_basis, index, kernel_dim
 from apslab.spectral_core import EigenmodeBasis, SigmaZero
+from test_certificate import graph_problem
 
 LONE_SCALES = (1e-30, 1e-15, 1e-3, 1.0, 7.0)
 
@@ -66,10 +67,8 @@ def null_projector(vh, rank):
 
 
 def factor_dense(M, vectors=False):
-    """``_factor`` of a dense matrix, held as one block of dense rows."""
-    m, n = M.shape
-    none = np.zeros(0, dtype=int)
-    return _factor(_Rows(M.shape, none, none, none, ((np.arange(m), np.arange(n), M),)), vectors)
+    """``_factor`` of a dense matrix."""
+    return _factor(M, vectors)
 
 
 def assert_matches_dense(M, cut=None):
@@ -159,6 +158,17 @@ def test_only_the_coupled_block_reaches_lapack(monkeypatch):
     shapes.clear()
     factor_dense(split_matrix(rng, n_lone=20, n_zero=5, block_shape=(0, 0)), vectors=True)
     assert shapes == []
+    # assemble: an APS problem touches no coordinate, so it takes no SVD
+    for vectors in (False, True):
+        assemble(PROBLEMS["aps_0.5_1.5"](1.0), vectors)
+    assert shapes == []
+    # an index_fresh graph problem takes SVDs of its touched block only
+    P = graph_problem(0.1, 1.5, 12345, -0.5, 1.4, (1, 1), (1, 2))
+    touched = touched_modes(P.left) | touched_modes(P.right)
+    width = sum(P.basis.fiber_dim(mid) for mid in touched)
+    for vectors in (False, True):
+        assemble(P, vectors)
+    assert shapes and all(cols <= width < P.basis.total_dim for (_, cols), _ in shapes)
 
 
 # -- _orthonormalize -----------------------------------------------------------

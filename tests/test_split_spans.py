@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+from banded_oracle import touched_modes
 from apslab.boundary_conditions import (
     ConditionError,
     complement_condition,
@@ -28,8 +29,8 @@ from apslab.boundary_conditions import (
     seeded_graph_condition,
 )
 from apslab.cylinder_solver import CylinderProblem, CylinderSection, assemble, solve_bvp
-from apslab.index_calculus import _touched_modes, index
-from apslab.spectral_core import BoundarySection, EigenmodeBasis, SigmaZero
+from apslab.index_calculus import index
+from apslab.spectral_core import BoundarySection, EigenmodeBasis, Mode, SigmaZero
 
 from test_certificate import graph_problem
 from test_split_factor import PROBLEMS as SPLIT_PROBLEMS
@@ -81,11 +82,23 @@ def half(rho):
     return scalar_problem(basis, complement_condition(cut), right, rho)
 
 
+def mixed_fibers(rho):
+    """Fiber dims 1 and 2 placed so that the right end's coordinate order is
+    not its own inverse: the dense constraint rows must be gathered, not scattered."""
+    modes = [Mode(j, "c0", 0.5 * j + 0.1, 1 + (j > 2)) for j in range(-6, 7)]
+    basis = EigenmodeBasis(modes, 3.0)
+    rng = np.random.default_rng(3)
+    left = seeded_graph_condition(basis, rng, cut=0.3, g_norm=0.5)
+    right = seeded_graph_condition(basis.negated(), rng, cut=-0.2, g_norm=0.5)
+    return scalar_problem(basis, left, right, rho)
+
+
 PROBLEMS = {
     **SPLIT_PROBLEMS,
     "deformed_0.4": deformed(0.4),
     "deformed_0": deformed(0.0),
     "complement": half,
+    "mixed_fibers": mixed_fibers,
 }
 GRID = [(name, rho) for name in sorted(PROBLEMS) for rho in (0.3, 1.0, 25.0)]
 GRID += [("long_aps", rho) for rho in (1.0, 10.0, 25.0, 50.0)]
@@ -115,12 +128,15 @@ def test_spectra_match_the_dense_oracle(name, rho):
         assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-14
     # only the touched coordinates are dense: each end's block covers the
     # coordinates that its own W and g reach
-    for end, (pos, cols, block) in zip((P.left, P.right), A.rows.blocks):
-        reach = sum(end.basis.fiber_dim(mid) for mid in _touched_modes(end))
-        assert block.shape == (pos.size, cols.size) and cols.size <= reach
+    for end, span in zip((P.left, P.right), (A.NL, A.NR)):
+        reach = sum(end.basis.fiber_dim(mid) for mid in touched_modes(end))
+        assert span.block.shape == (span.rows.size, span.block_pos.size)
+        assert span.rows.size <= reach
 
 
-@pytest.mark.parametrize("name", ["graph_f1_s3", "graph_f2_s11", "chiral", "transmission"])
+@pytest.mark.parametrize(
+    "name", ["graph_f1_s3", "graph_f2_s11", "chiral", "transmission", "mixed_fibers"]
+)
 @pytest.mark.parametrize("rho", [0.3, 25.0])
 def test_sections_match_the_dense_oracle(name, rho):
     P = build(name, rho)
