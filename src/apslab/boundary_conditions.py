@@ -148,7 +148,7 @@ def _coupled_block(M: np.ndarray) -> tuple:
 
 
 def _orthonormalize(M: np.ndarray, units: bool = False, tol: float = RANK_TOL) -> tuple:
-    """(q, lone, floor): orthonormal columns spanning the columns of M.
+    """(q, floor): orthonormal columns spanning the columns of M.
 
     A column alone on its rows is normalized as it stands; the coupled block
     goes through a pivoted QR restricted to the rows it touches.  With
@@ -156,9 +156,8 @@ def _orthonormalize(M: np.ndarray, units: bool = False, tol: float = RANK_TOL) -
     its row with norm 1.0.  A column is kept when its norm, or its diagonal
     entry of R, exceeds ``floor``: ``tol`` times the largest column norm, the
     first diagonal entry of a pivoted QR of all of them.  q holds the kept lone
-    columns first, in input order (at the positions ``lone`` of M), then the QR
-    columns, with entries below 1e-14 chopped so that sparse mode support
-    survives exactly.
+    columns first, in input order, then the QR columns, with entries below
+    1e-14 chopped so that sparse mode support survives exactly.
     """
     cols, brows = _coupled_block(M)
     lone = (~cols).nonzero()[0]
@@ -176,7 +175,7 @@ def _orthonormalize(M: np.ndarray, units: bool = False, tol: float = RANK_TOL) -
     if rank:
         q[brows, lone.size :] = qb[:, :rank]
     q[np.abs(q) < 1e-14] = 0
-    return q, lone, floor
+    return q, floor
 
 
 def _mode_positions(basis: EigenmodeBasis, other: EigenmodeBasis) -> np.ndarray:
@@ -200,27 +199,25 @@ class Span:
     """Orthonormal columns over the ``total_dim`` coordinates of a basis, most
     of them unit vectors.
 
-    Column ``unit_pos[i]`` is the unit vector at coordinate ``unit[i]``, and
-    column ``block_pos[j]`` is column j of ``block`` on the coordinates
-    ``rows``, zero elsewhere.  Only the coordinates that a condition's W or g
-    touch are ever dense.  ``dense()`` gives the full array.
+    The columns of ``block``, on the coordinates ``rows`` and zero elsewhere,
+    come first, then the unit vectors at the coordinates ``unit``.  Only the
+    coordinates that a condition's W or g touch are ever dense.  ``dense()``
+    gives the full array.
     """
 
     total_dim: int
     unit: np.ndarray
-    unit_pos: np.ndarray
     rows: np.ndarray
     block: np.ndarray
-    block_pos: np.ndarray
 
     @property
     def shape(self) -> tuple:
-        return (self.total_dim, self.unit.size + self.block.shape[1])
+        return (self.total_dim, self.block.shape[1] + self.unit.size)
 
     def dense(self) -> np.ndarray:
         Q = np.zeros(self.shape, dtype=complex)
-        Q[self.unit, self.unit_pos] = 1.0
-        Q[np.ix_(self.rows, self.block_pos)] = self.block
+        Q[self.rows, : self.block.shape[1]] = self.block
+        Q[self.unit, self.block.shape[1] + np.arange(self.unit.size)] = 1.0
         return Q
 
     def touching(
@@ -232,17 +229,16 @@ class Span:
         unit_val: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """The columns that touch the sorted coordinates ``coords``, on them, as a
-        dense array in the span's column order; ``unit`` and ``rows`` are the
-        span's own coordinates, expressed in the coordinates of ``coords``.
-        ``block`` and ``unit_val`` (one value per unit column) take the places
-        of the span's block and of the 1.0 of its unit columns."""
+        dense array: the block columns, then the unit columns inside ``coords``.
+        ``unit`` and ``rows`` are the span's own coordinates, expressed in the
+        coordinates of ``coords``.  ``block`` and ``unit_val`` (one value per
+        unit column) take the places of the span's block and of the 1.0 of its
+        unit columns."""
         block = self.block if block is None else block
         inner = np.flatnonzero(np.isin(unit, coords))
-        pos = np.concatenate([self.block_pos, self.unit_pos[inner]])
-        at = np.searchsorted(np.sort(pos), pos)
-        X = np.zeros((coords.size, pos.size), dtype=complex)
-        X[np.searchsorted(coords, rows)[:, None], at[: block.shape[1]]] = block
-        X[np.searchsorted(coords, unit[inner]), at[block.shape[1] :]] = (
+        X = np.zeros((coords.size, block.shape[1] + inner.size), dtype=complex)
+        X[np.searchsorted(coords, rows), : block.shape[1]] = block
+        X[np.searchsorted(coords, unit[inner]), block.shape[1] + np.arange(inner.size)] = (
             1.0 if unit_val is None else unit_val[inner]
         )
         return X
@@ -381,10 +377,9 @@ class BoundaryCondition:
         W_plus (+) W_minus projected out (dropped below RANK_TOL), then mapped by
         v -> v + g v (lower) or u -> u - g* u.  A coordinate that no W vector and
         no g entry touches keeps e_j, a unit column.  The other columns are built
-        on the touched coordinates alone.  The columns and their order (see
-        ``_orthonormalize``) are those of the same build on every coordinate.
+        on the touched coordinates alone, by ``_orthonormalize``, and form the
+        span's block.
         """
-        basis, D = self.basis, self.basis.total_dim
         on_side = self._side_mask(lower)
         rows, at, W = self._touched
         side = on_side[rows]
@@ -392,12 +387,9 @@ class BoundaryCondition:
         C = np.zeros((rows.size, touched.size), dtype=complex)
         C[side.nonzero()[0], np.arange(touched.size)] = 1.0
         C -= W @ W[side].conj().T
-        survive = ~(np.linalg.norm(C, axis=0) < RANK_TOL)
-        kept = on_side.copy()  # the side columns that survive the W projection
-        kept[touched[~survive]] = False
-        C, touched = C[:, survive], touched[survive]
+        C = C[:, ~(np.linalg.norm(C, axis=0) < RANK_TOL)]
         for (tgt, src), block in self.g.entries.items():
-            t, s = at[basis.offset(tgt)], at[basis.offset(src)]
+            t, s = at[self.basis.offset(tgt)], at[self.basis.offset(src)]
             if lower:
                 C[t : t + block.shape[0]] += block @ C[s : s + block.shape[1]]
             else:
@@ -405,24 +397,10 @@ class BoundaryCondition:
         family = (self.w_plus if lower else self.w_minus)[rows]
         on_side[rows] = False
         unit = on_side.nonzero()[0]
-        q, lone, floor = _orthonormalize(np.column_stack([C, family]), unit.size > 0)
+        q, floor = _orthonormalize(np.column_stack([C, family]), unit.size > 0)
         if not 1.0 > floor:  # a lone column of norm 1/RANK_TOL or more drops them
             unit = unit[:0]
-        # input positions: the kept side columns in coordinate order, then the family
-        rank = np.cumsum(kept) - 1
-        lone = np.concatenate([rank[touched], kept.sum() + np.arange(family.shape[1])])[lone]
-        unit_in = rank[unit]
-        return Span(
-            D,
-            unit,
-            np.arange(unit.size) + np.searchsorted(lone, unit_in),
-            rows,
-            q,
-            np.concatenate([
-                np.arange(lone.size) + np.searchsorted(unit_in, lone),
-                unit.size + np.arange(lone.size, q.shape[1]),
-            ]),
-        )
+        return Span(self.basis.total_dim, unit, rows, q)
 
     def graph_projector_apply(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto graph(g) inside V_- (+) V_+, in closed form.

@@ -309,14 +309,11 @@ def _homogeneous_scales(basis: EigenmodeBasis, rho: float) -> tuple:
     """Per-coordinate values of the normalized homogeneous solutions at t=0 and t=rho.
 
     e^{-lambda t}, normalized at the end where it is largest, is 1 there and
-    exp(-|lambda| rho) at the other end.  The exponentials are taken by
-    ``math.exp``, one per mode: ``np.exp`` differs from it in the last bit on
-    some inputs, and these scales enter every rank decision.
+    exp(-|lambda| rho) at the other end.
     """
-    lam = basis.coord_eigenvalue[basis.mode_offsets]
-    far = np.array([math.exp(-abs(x) * rho) for x in lam.tolist()])
-    up = lam >= 0
-    return np.where(up, 1.0, far)[basis.coord_mode], np.where(up, far, 1.0)[basis.coord_mode]
+    lam = basis.coord_eigenvalue
+    far = np.exp(-np.abs(lam) * rho)
+    return np.where(lam >= 0, 1.0, far), np.where(lam >= 0, far, 1.0)
 
 
 def homogeneous_constraint_matrix(span: Span, scale: np.ndarray) -> np.ndarray:
@@ -332,84 +329,93 @@ def homogeneous_constraint_matrix(span: Span, scale: np.ndarray) -> np.ndarray:
     return span.block.conj().T * scale[np.newaxis, :]
 
 
-def _factor(
-    M: np.ndarray,
-    vectors: bool = False,
-    shape: Optional[tuple] = None,
-    at: Optional[np.ndarray] = None,
-    norms: Optional[np.ndarray] = None,
-) -> tuple:
-    """(s, vh): the singular values of a matrix in descending order, and with
-    ``vectors`` a square vh whose rows are the matching right singular vectors;
-    without them, vh is None.
+def _factor(M: np.ndarray, vectors: bool = False) -> tuple:
+    """(s, vh): one singular value per column of M, and with ``vectors`` a square
+    vh whose row i is the right singular vector of s[i]; without them, vh is None.
 
-    The matrix is M, or one of ``shape`` whose columns ``at`` are those of M,
-    on some of its rows, and whose every other column j is alone on rows of its
-    own with the norm ``norms[j]``.  A column alone on its nonzero rows (see
-    ``_coupled_block``) has its norm as a singular value and a unit vector as
-    its right singular vector; a block-diagonal matrix has the union of its
-    blocks' spectra.  So only the coupled columns, on the rows they touch, go
-    through ``np.linalg.svd``.  ``s`` has min(shape) entries, as a dense SVD
-    gives, sorted stably from the lone columns in column order followed by the
-    coupled block.  The values always come from the values-only routine, and
-    ``vectors`` adds a full SVD of the block for vh alone, so that a call with
-    vectors ranks the very numbers that one without them ranks.
+    A column alone on its nonzero rows (see ``_coupled_block``) has its norm as
+    a singular value and a unit vector as its right singular vector; a
+    block-diagonal matrix has the union of its blocks' spectra.  So the lone
+    columns come first, in column order, and only the coupled columns, on the
+    rows they touch, go through ``np.linalg.svd``: they take its values, then
+    zeros up to their number.  The values always come from the values-only
+    routine, and ``vectors`` adds a full SVD of the block for vh alone, so
+    that a call with vectors ranks the very numbers that one without them
+    ranks.
     """
-    m, n = M.shape if shape is None else shape
-    at = np.arange(n) if at is None else at
     cols, rows = _coupled_block(M)
-    values = np.zeros(n) if norms is None else norms.copy()
-    values[at[~cols]] = np.linalg.norm(M[:, ~cols], axis=0)
-    lone = np.ones(n, dtype=bool)
-    lone[at[cols]] = False
-    lone, coupled = lone.nonzero()[0], at[cols]
-    values = [values[lone]]
+    lone, coupled = (~cols).nonzero()[0], cols.nonzero()[0]
+    s = [np.linalg.norm(M[:, lone], axis=0)]
     if coupled.size:
         B = M[np.ix_(rows, cols)]
         sb = np.linalg.svd(B, compute_uv=False)
-        if vectors:
-            vhb = np.linalg.svd(B)[2]
-        values += [sb, np.zeros(coupled.size - sb.size)]
-    values = np.concatenate(values)
-    order = np.argsort(-values, kind="stable")
-    s = values[order][: min(m, n)]
+        s += [sb, np.zeros(coupled.size - sb.size)]
+    s = np.concatenate(s)
     if not vectors:
         return s, None
-    vh = np.zeros((n, n), dtype=complex)
+    vh = np.zeros((M.shape[1], M.shape[1]), dtype=complex)
     vh[np.arange(lone.size), lone] = 1.0
     if coupled.size:
-        vh[lone.size :, coupled] = vhb
-    return s, vh[order]
+        vh[lone.size :, coupled] = np.linalg.svd(B)[2]
+    return s, vh
+
+
+@dataclasses.dataclass(frozen=True)
+class _Factored:
+    """One constraint matrix over a problem's coordinates, factored where it is dense.
+
+    T is the union of the dense rows of the two spans that give the matrix.  A
+    coordinate off T carries at most a unit row per end, so by the sign rule its
+    column has rank 1 when either end has one, and is a null direction, one of
+    ``free``, when neither has; its closed-form value, sqrt(d0^2 + dr^2) of the
+    unit entries it has, is never ranked, and ``top`` is the largest of them.
+    ``s`` and ``vh`` are the ``_factor`` of the dense block on the columns T.
+    """
+
+    T: np.ndarray
+    free: np.ndarray
+    s: np.ndarray
+    vh: Optional[np.ndarray]
+    top: float
+
+    def nullity(self, cut: float) -> int:
+        return self.free.size + int(np.sum(self.s <= cut))
+
+    def null_vectors(self, cut: float, total_dim: int) -> np.ndarray:
+        """Orthonormal rows spanning the null space at ``cut``: the unit vectors at
+        ``free``, then the block's null vectors on T."""
+        block = self.vh[self.s <= cut].conj()
+        X = np.zeros((self.free.size + block.shape[0], total_dim), dtype=complex)
+        X[np.arange(self.free.size), self.free] = 1.0
+        X[self.free.size :, self.T] = block
+        return X
 
 
 def _factor_constraints(
     P: CylinderProblem, left: Span, right: Span, scales: tuple, vectors: bool
-) -> tuple:
-    """``_factor`` of the constraint rows that the spans ``left`` and ``right``
-    of P's two ends give, with the values (at t=0, at t=rho) of the homogeneous
-    solutions: the left span's rows, then the right span's, each in its column
-    order, over P's coordinates.
+) -> _Factored:
+    """The constraint rows that the spans ``left`` and ``right`` of P's two ends
+    give, with the values (at t=0, at t=rho) of the homogeneous solutions,
+    factored over P's coordinates.
 
-    A coordinate outside T, the union of the two spans' dense rows, carries at
-    most a unit row per end, so its column has the norm sqrt(d0^2 + dr^2) of
-    the unit entries it has, in closed form.  The columns on T form one dense
-    block: each end's ``homogeneous_constraint_matrix`` and its unit rows at
-    coordinates in T, placed by ``Span.touching``.
+    The columns on T form one dense block: each end's
+    ``homogeneous_constraint_matrix`` and its unit rows at coordinates in T,
+    placed by ``Span.touching``.
     """
     ends = [
         (span, *(_coords_in(b, P.basis, x) for x in (span.unit, span.rows)), d)
         for span, b, d in ((left, P.left.basis, scales[0]), (right, P.right.basis, scales[1]))
     ]
     T = np.union1d(ends[0][2], ends[1][2])  # the dense rows of both spans
-    sq, parts = np.zeros(P.basis.total_dim), []
+    sq, has_unit, parts = np.zeros(P.basis.total_dim), np.zeros(P.basis.total_dim, bool), []
     for span, unit, rows, d in ends:
         sq[unit] += d[unit] * d[unit]
+        has_unit[unit] = True
         H = homogeneous_constraint_matrix(span, d[rows])
         parts.append(span.touching(T, unit, rows, H.T, d[unit]).T)
-    M = np.vstack(parts)
-    del parts, H  # dropped before the factorization's own copies are made
-    shape = (left.shape[1] + right.shape[1], P.basis.total_dim)
-    return _factor(M, vectors, shape, T, np.sqrt(sq))
+    sq[T], has_unit[T] = 0.0, True  # the block ranks the columns on T
+    s, vh = _factor(np.vstack(parts), vectors)
+    return _Factored(T, (~has_unit).nonzero()[0], s, vh, float(np.sqrt(sq.max(initial=0.0))))
 
 
 def _shared_cut(*spectra: np.ndarray) -> float:
@@ -467,10 +473,10 @@ class Assembly:
     ``scales`` the values (at t=0, at t=rho) of the normalized homogeneous
     solutions, per coordinate of the problem's basis: the constraint matrix is
     NL^* d0 over NR^* dr, which ``dense()`` lays out in full for a solve.
-    ``spectra`` and ``vh`` hold the singular values and square right singular
-    vectors of the constraint matrix and of the cokernel matrix; the entries of
-    ``vh`` are None without vectors.  ``adjoint_basis``, set only with vectors,
-    is the basis of the adjoint side, over which the cokernel sections live.
+    ``factors`` holds the ``_Factored`` constraint matrix and cokernel matrix;
+    their vh are None without vectors.  ``adjoint_basis``, set only with
+    vectors, is the basis of the adjoint side, over which the cokernel
+    sections live.
     """
 
     problem: CylinderProblem
@@ -478,14 +484,12 @@ class Assembly:
     NL: Span
     NR: Span
     scales: tuple
-    spectra: tuple
-    vh: tuple
+    factors: tuple
     cut: float
 
     def dims(self) -> tuple:
         """(dim ker, dim coker): the nullities of both matrices at the shared cut."""
-        D = self.problem.basis.total_dim
-        return tuple(D - int(np.sum(s > self.cut)) for s in self.spectra)
+        return tuple(f.nullity(self.cut) for f in self.factors)
 
     def dense(self) -> tuple:
         """(NL, NR, M): the two perp spans and the constraint matrix as dense arrays."""
@@ -499,16 +503,15 @@ class Assembly:
         return NL, NR, M
 
     def sections(self) -> tuple:
-        """Orthonormal (kernel, cokernel) sections, from the last rows of each vh.
+        """Orthonormal (kernel, cokernel) sections, from the null vectors of each matrix.
 
         A null vector y of the cokernel matrix gives the cokernel section with
         coefficients x_{tau(j)} = U_j y_j over the adjoint basis.
         """
-        P, ab = self.problem, self.adjoint_basis
-        (dk, dc), (vh, vh_co) = self.dims(), self.vh
-        D = P.basis.total_dim
-        kernel = [_coeffs_to_section(P.basis, P.rho, c) for c in vh[D - dk :].conj()]
-        X = vh_co[D - dc :].conj() @ _unitary_part(P.sigma0, ab).T
+        P, ab, D = self.problem, self.adjoint_basis, self.problem.basis.total_dim
+        K, Y = (f.null_vectors(self.cut, D) for f in self.factors)
+        X = Y @ _unitary_part(P.sigma0, ab).T
+        kernel = [_coeffs_to_section(P.basis, P.rho, c) for c in K]
         return kernel, [_coeffs_to_section(ab, P.rho, x) for x in X]
 
 
@@ -524,21 +527,21 @@ def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
     is that of e^{-lambda t} at the other, so the cokernel matrix takes the two
     ends' scales swapped.  sigma_0 enters only the cokernel sections.
 
-    Each matrix is factored by ``_factor`` on the coordinates T that the two
-    ends' W or g touch, one dense block; every other coordinate has a column
-    of at most one unit entry per end and its singular value in closed form
-    (``_factor_constraints``).  So only the coupled columns of T take an SVD
-    (an APS problem takes none), and the rest costs O(total_dim).  Right
+    Each matrix is ``_Factored``: only the block on the coordinates T that the
+    two ends' W or g touch is factored, and only its coupled columns take an
+    SVD (an APS problem takes none); every other coordinate takes its rank
+    from the sign rule, so the rest costs O(total_dim).  The shared cut starts
+    from the largest value of either whole matrix, ``top`` included.  Right
     singular vectors are taken only with ``vectors``, for the kernel and
-    cokernel sections; without them no square vh is allocated.
+    cokernel sections.
     """
     d0, dr = _homogeneous_scales(P.basis, P.rho)
     S = (P.left.span_matrix(), P.right.span_matrix())
-    s_co, vh_co = _factor_constraints(P, *S, (dr, d0), vectors)
+    co = _factor_constraints(P, *S, (dr, d0), vectors)
     NL, NR = P.left.perp_span_matrix(), P.right.perp_span_matrix()
-    s, vh = _factor_constraints(P, NL, NR, (d0, dr), vectors)
+    f = _factor_constraints(P, NL, NR, (d0, dr), vectors)
     ab = P.sigma0.adjoint_basis() if vectors else None
-    return Assembly(P, ab, NL, NR, (d0, dr), (s, s_co), (vh, vh_co), _shared_cut(s, s_co))
+    return Assembly(P, ab, NL, NR, (d0, dr), (f, co), _shared_cut(f.s, co.s, [f.top, co.top]))
 
 
 def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:

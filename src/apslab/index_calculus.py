@@ -7,14 +7,17 @@ of two matrices decided against one singular-value cut that they share: the
 problem's constraint matrix, and its cokernel matrix, built from the spans of
 the problem's own conditions (the adjoint's constraint matrix up to a unitary
 factor, so no adjoint problem is built).  Every rank here, those two and the
-one behind ``fredholm_pair``, is taken the same way: the coordinates that no
-W data or g touch carry unit columns and rows, whose singular values are
-known in closed form, and the touched coordinates form one small dense block,
-factored by ``cylinder_solver._factor`` (lone columns take their norms, and
-only the coupled ones an SVD).  The shared cut sits in a gap of the two
-spectra (``cylinder_solver._shared_cut``).  The tests keep two oracles: the
-dense full-basis assembly, and a banded one (sign table plus a small block on
-the touched modes, from raw generators).
+one behind ``fredholm_pair``, is taken the same way.  A coordinate that no W
+data or g touch takes its rank from structure, by the per-mode sign rule: it
+carries a unit column of a span, or none, so its constraint column has rank 1
+when either end constrains it and is a null direction otherwise, whatever the
+value exp(-|lambda| rho) there.  Only the touched coordinates form one small
+dense block, factored by ``cylinder_solver._factor`` (lone columns take their
+norms, and only the coupled ones an SVD).  Only its values meet the cut that
+the two matrices share, which sits in a gap of their spectra
+(``cylinder_solver._shared_cut``).  The tests keep two oracles: the dense
+full-basis assembly, and a banded one (sign table plus a small block on the
+touched modes, from raw generators).
 
 A certified report passes two checks.  The formula check: every condition is
 in graph form W_+ (+) graph(g) about a cut, and deforming g to 0 keeps it

@@ -123,9 +123,6 @@ class EigenmodeBasis:
             arr.flags.writeable = False
         self.components = tuple(sorted({m.component_id for m in self.modes}))
 
-    def mode(self, mode_id: int) -> Mode:
-        return self._by_id[mode_id]
-
     def __contains__(self, mode_id: int) -> bool:
         return mode_id in self._by_id
 

@@ -12,13 +12,17 @@ the rank of the two spans' full columns side by side, at RANK_THRESHOLD times
 its largest singular value.
 """
 
-import math
-
 import numpy as np
 from scipy import linalg as sla
 
 from apslab.boundary_conditions import RANK_TOL, _mode_positions
-from apslab.cylinder_solver import RANK_THRESHOLD, Assembly, CylinderProblem, _shared_cut
+from apslab.cylinder_solver import (
+    RANK_THRESHOLD,
+    CylinderProblem,
+    _coeffs_to_section,
+    _shared_cut,
+    _unitary_part,
+)
 from apslab.index_calculus import FredholmPairReport
 
 
@@ -121,16 +125,18 @@ def right_permutation(basis, nb):
 
 
 def homogeneous_scales(basis, rho):
-    """Per-coordinate values of the normalized homogeneous solutions at t=0 and t=rho."""
+    """Per-coordinate values of the normalized homogeneous solutions at t=0 and t=rho.
+
+    The exponentials are taken by ``np.exp``, as ``assemble`` takes them:
+    ``math.exp`` differs from it in the last bit on some inputs, and LAPACK's
+    choice of phase for a null vector can turn on that bit.
+    """
     d0 = np.zeros(basis.total_dim)
     dr = np.zeros(basis.total_dim)
-    for m in basis.modes:
+    far = np.exp(-np.abs([m.eigenvalue for m in basis.modes]) * rho)
+    for m, x in zip(basis.modes, far.tolist()):
         off = basis.offset(m.mode_id)
-        lam = m.eigenvalue
-        if lam >= 0:
-            v0, vr = 1.0, math.exp(-lam * rho)
-        else:
-            v0, vr = math.exp(lam * rho), 1.0
+        v0, vr = (1.0, x) if m.eigenvalue >= 0 else (x, 1.0)
         d0[off : off + m.fiber_dim] = v0
         dr[off : off + m.fiber_dim] = vr
     return d0, dr
@@ -156,23 +162,39 @@ def homogeneous_constraint_matrix(P: CylinderProblem, NL, NR, negated=False):
     return np.vstack(rows)
 
 
-def assemble(P: CylinderProblem, vectors=False):
+def assemble(P: CylinderProblem, vectors=False, order=None):
     """(NL, NR, M, spectra, vh, cut): the dense constraint and cokernel matrices
-    of P, factored by ``svd`` on the whole matrix."""
-    C = homogeneous_constraint_matrix(P, span(P.left), span(P.right), negated=True)
-    NL, NR = perp_span(P.left), perp_span(P.right)
+    of P, factored by ``svd`` on the whole matrix.
+
+    ``order``, if given, puts the columns of span(P.left), span(P.right),
+    perp_span(P.left) and perp_span(P.right), and so the rows of the two
+    matrices, in another order: one index array per span.  LAPACK picks the
+    phase of a singular vector from the row order, so two factorizations give
+    the same vectors only when their rows come in the same order.
+    """
+    spans = [span(P.left), span(P.right), perp_span(P.left), perp_span(P.right)]
+    if order is not None:
+        spans = [Q[:, p] for Q, p in zip(spans, order)]
+    C = homogeneous_constraint_matrix(P, *spans[:2], negated=True)
+    NL, NR = spans[2:]
     M = homogeneous_constraint_matrix(P, NL, NR)
     (s, vh), (s_co, vh_co) = svd(M, vectors), svd(C, vectors)
     return NL, NR, M, (s, s_co), (vh, vh_co), _shared_cut(s, s_co)
 
 
-def sections(P: CylinderProblem) -> tuple:
-    """(kernel, cokernel) sections of P from the dense factorization's vectors."""
-    *_, spectra, vh, cut = assemble(P, vectors=True)
-    A = Assembly(
-        P, P.sigma0.adjoint_basis(), NL=None, NR=None, scales=None, spectra=spectra, vh=vh, cut=cut
+def sections(P: CylinderProblem, order=None) -> tuple:
+    """(kernel, cokernel) sections of P from the dense factorization's vectors,
+    with the spans in ``order`` (see ``assemble``): the last rows of each vh, as
+    many as the matrix's nullity at the cut.  A null vector y of the cokernel
+    matrix gives the coefficients U y over the adjoint basis."""
+    *_, spectra, vh, cut = assemble(P, vectors=True, order=order)
+    ab = P.sigma0.adjoint_basis()
+    K, Y = (v[int(np.sum(s > cut)) :].conj() for s, v in zip(spectra, vh))
+    X = Y @ _unitary_part(P.sigma0, ab).T
+    return (
+        [_coeffs_to_section(P.basis, P.rho, c) for c in K],
+        [_coeffs_to_section(ab, P.rho, x) for x in X],
     )
-    return A.sections()
 
 
 def rank(M):

@@ -475,12 +475,11 @@ class TestSharedRankCut:
         shift, rho, graph_seed, a, c, left_w, right_w = SPLIT_VALUES[case]
         P = graph_problem(shift, rho, graph_seed, a, c, left_w, right_w)
         A = assemble(P)
-        start = RANK_THRESHOLD * max(s[0] for s in A.spectra)
-        D = P.basis.total_dim
-        ker, coker = (D - int(np.sum(s > start)) for s in A.spectra)
+        start = RANK_THRESHOLD * max(max(f.s.max(initial=0.0), f.top) for f in A.factors)
+        ker, coker = (f.nullity(start) for f in A.factors)
         # the starting cut splits the two copies of a value, which the gap keeps
         assert ker - coker != _formula_index(P)
-        kept = np.concatenate(A.spectra)
+        kept = np.concatenate([f.s for f in A.factors])
         assert kept[(kept > A.cut) & (kept <= start)].min() >= start / RANK_GAP
         rep = index(P)
         assert rep.truncation_certificate["doubled_agrees"] is True

@@ -11,6 +11,7 @@ from apslab.cylinder_solver import (
     CylinderProblem,
     CylinderSection,
     SolverError,
+    _homogeneous_scales,
     adjoint_problem,
     cutoff_profile,
     energy_identity_residual,
@@ -139,6 +140,21 @@ class TestRightInverse:
 def homogeneous_solve(P):
     """solve_bvp with a zero right-hand side: the kernel and obstruction bases of P."""
     return solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
+
+
+@pytest.mark.parametrize("rho", [0.3, 25.0, 200.0])
+def test_homogeneous_scales_match_a_per_mode_loop(rho):
+    # one np.exp over the coordinates against math.exp per mode: both round
+    # exp(-|lambda| rho) to within an ulp, so they agree to a few ulps
+    basis = EigenmodeBasis.lattice(8, shift=0.3, fiber_dim=2, band_limit=4.0)
+    d0, dr = _homogeneous_scales(basis, rho)
+    for m in basis.modes:
+        off = basis.offset(m.mode_id)
+        far = math.exp(-abs(m.eigenvalue) * rho)
+        want = (1.0, far) if m.eigenvalue >= 0 else (far, 1.0)
+        for d, w in zip((d0, dr), want):
+            got = d[off : off + m.fiber_dim]
+            np.testing.assert_allclose(got, w, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class TestSolveBvp:

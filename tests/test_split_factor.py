@@ -2,14 +2,19 @@
 
 ``cylinder_solver._factor`` gives a column alone on its nonzero rows its norm as
 a singular value and sends only the coupled columns, on the rows they touch,
-through ``np.linalg.svd``; ``boundary_conditions._orthonormalize`` normalizes
-such columns in place and runs its pivoted QR on the coupled block.  Here both
-are checked against one dense factorization of the whole matrix: on seeded
-matrices built from lone columns (down to 1e-30), zero columns and a coupled
-block, permuted, with fewer or more rows than columns; and on the constraint
-matrices of APS, graph, chiral and transmission problems, built dense by
-``tests/dense_oracle.py``, whose cokernel matrix is also checked against the
-constraint matrix of the adjoint problem.
+through ``np.linalg.svd``; it returns one value per column, with vh row i
+belonging to value i, and here they are sorted as a dense SVD sorts them.
+``boundary_conditions._orthonormalize`` normalizes such columns in place and
+runs its pivoted QR on the coupled block.  Here both are checked against one
+dense factorization of the whole matrix: on seeded matrices built from lone
+columns (down to 1e-30), zero columns and a coupled block, permuted, with
+fewer or more rows than columns; and on the constraint matrices of APS, graph,
+chiral and transmission problems, built dense by ``tests/dense_oracle.py``,
+whose cokernel matrix is also checked against the constraint matrix of the
+adjoint problem.  ``assemble`` factors only the block on the touched
+coordinates T; the whole matrix's values off T are rebuilt here from the
+scales and the spans' unit coordinates, and the columns there that carry a
+unit row count in the rank whatever their value, as the sign rule says.
 """
 
 import numpy as np
@@ -20,6 +25,7 @@ import dense_oracle
 from banded_oracle import touched_modes
 from apslab.boundary_conditions import (
     RANK_TOL,
+    _coords_in,
     _orthonormalize,
     make_chiral,
     make_generalized_aps,
@@ -66,9 +72,24 @@ def null_projector(vh, rank):
     return V.conj().T @ V
 
 
+def descending(s, vh, shape):
+    """(s, vh) with one value per column, as a dense SVD of a matrix of ``shape``
+    gives them: the values in descending order, min(m, n) of them, and vh's
+    rows in the same order.  Every value past the first min(m, n) is 0."""
+    order = np.argsort(-s, kind="stable")
+    assert not np.any(s[order][min(shape) :])
+    return s[order][: min(shape)], None if vh is None else vh[order]
+
+
 def factor_dense(M, vectors=False):
-    """``_factor`` of a dense matrix."""
-    return _factor(M, vectors)
+    """``_factor`` of a dense matrix, ``descending``.  ``_factor`` gives one
+    value per column, with vh row i belonging to value i."""
+    s, vh = _factor(M, vectors)
+    assert s.shape == (M.shape[1],)
+    if vh is not None:
+        top = max(s.max(initial=0.0), 1e-300)
+        assert np.allclose(np.linalg.norm(M @ vh.conj().T, axis=0), s, atol=1e-13 * top)
+    return descending(s, vh, M.shape)
 
 
 def assert_matches_dense(M, cut=None):
@@ -265,24 +286,89 @@ PROBLEMS = {
 }
 
 
+def whole_matrices(P, A):
+    """Per matrix of the assembly ``A`` of P (constraint, cokernel): the values and
+    vh of the whole matrix, and the values of its columns off T that carry a
+    unit row at either end.
+
+    The block's values and vectors come from ``A``.  The values off T are
+    rebuilt here from the scales and the spans' unit coordinates: such a
+    coordinate has at most one unit row per end, so its column is alone on its
+    rows, with the value sqrt(d0^2 [unit at t=0] + dr^2 [unit at t=rho]) and a
+    unit right singular vector.  The sign rule ranks the unit-carrying columns
+    1, whatever their value, and the others 0.
+    """
+    D = P.basis.total_dim
+    d0, dr = A.scales
+    ends = (
+        ((A.NL, A.NR), (d0, dr)),
+        ((P.left.span_matrix(), P.right.span_matrix()), (dr, d0)),
+    )
+    out = []
+    for (spans, scales), f in zip(ends, A.factors):
+        sq, unit, T = np.zeros(D), np.zeros(D, dtype=bool), []
+        for span, end, d in zip(spans, (P.left, P.right), scales):
+            at = _coords_in(end.basis, P.basis, span.unit)
+            sq[at] += d[at] ** 2
+            unit[at] = True
+            T.append(_coords_in(end.basis, P.basis, span.rows))
+        off = np.setdiff1d(np.arange(D), f.T)
+        assert np.array_equal(f.T, np.union1d(*T))
+        assert np.array_equal(f.free, off[~unit[off]])
+        assert f.top == np.sqrt(sq[off].max(initial=0.0))
+        vh = np.zeros((D, D), dtype=complex)
+        vh[: f.T.size, f.T] = f.vh
+        vh[f.T.size + np.arange(off.size), off] = 1.0
+        out.append((np.concatenate([f.s, np.sqrt(sq[off])]), vh, np.sqrt(sq[off][unit[off]])))
+    return out
+
+
+def sign_rule_count(n, s_d, cut, ranked):
+    """The nullity at ``cut`` of a matrix of n columns from its dense values
+    ``s_d``, with the values ``ranked`` of the unit-carrying columns off T
+    counted in the rank even where they are at or below the cut, as the sign
+    rule says."""
+    return n - int(np.sum(s_d > cut)) - int(np.sum(ranked <= cut))
+
+
+def column_permutation(got, want, tol):
+    """The permutation p with got[:, i] equal to want[:, p[i]] to ``tol``, entry by
+    entry.  Both hold orthonormal columns, so p[i] is where |want^* got[:, i]|
+    peaks; no rotation is allowed."""
+    assert got.shape == want.shape
+    p = np.argmax(np.abs(want.conj().T @ got), axis=0) if got.size else np.zeros(0, int)
+    assert np.array_equal(np.sort(p), np.arange(got.shape[1]))
+    assert np.max(np.abs(got - want[:, p]), initial=0.0) <= tol
+    return p
+
+
+def assert_dense_matches(got, want, tol):
+    """(NL, NR, M) of an assembly against the oracle's: the columns of each span
+    by a permutation, and the rows of M by the same permutations."""
+    pl = column_permutation(got[0], want[0], tol)
+    pr = column_permutation(got[1], want[1], tol)
+    assert got[2].shape == want[2].shape
+    rows = np.concatenate([pl, want[0].shape[1] + pr])
+    assert np.max(np.abs(got[2] - want[2][rows]), initial=0.0) <= tol
+
+
 @pytest.mark.parametrize("rho", [1.0, 25.0])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_assembly_matches_dense_svd(name, rho):
     P = PROBLEMS[name](rho)
     A = assemble(P, vectors=True)
-    D = P.basis.total_dim
     NL, NR = dense_oracle.perp_span(P.left), dense_oracle.perp_span(P.right)
     M = dense_oracle.homogeneous_constraint_matrix(P, NL, NR)
     C = dense_oracle.homogeneous_constraint_matrix(
         P, dense_oracle.span(P.left), dense_oracle.span(P.right), negated=True
     )
-    for a, b in zip(A.dense(), (NL, NR, M)):
-        assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-14
-    for N, s, vh, d in zip((M, C), A.spectra, A.vh, A.dims()):
+    assert_dense_matches(A.dense(), (NL, NR, M), tol=1e-14)
+    whole = whole_matrices(P, A)
+    for N, f, d in zip((M, C), whole, A.dims()):
         assert_matches_dense(N, cut=A.cut)
-        assert_factor_of(N, s, vh, cut=A.cut)
+        assert_factor_of(N, *descending(f[0], f[1], N.shape), cut=A.cut)
         s_d = np.linalg.svd(N, compute_uv=False) if N.size else np.zeros(0)
-        assert d == D - int(np.sum(s_d > A.cut))
+        assert d == sign_rule_count(N.shape[1], s_d, A.cut, f[2])
     # oracle: the adjoint problem's constraint matrix, from its own perp spans,
     # has the cokernel matrix's shape, spectrum and nullity at the shared cut
     Q = adjoint_problem(P)
@@ -292,8 +378,9 @@ def test_assembly_matches_dense_svd(name, rho):
     assert M_ad.shape == C.shape
     s_ad = np.linalg.svd(M_ad, compute_uv=False) if M_ad.size else np.zeros(0)
     top = max(A.cut / RANK_THRESHOLD, 1e-300)
-    assert np.max(np.abs(s_ad - A.spectra[1]), initial=0.0) <= 1e-13 * top
-    assert A.dims()[1] == Q.basis.total_dim - int(np.sum(s_ad > A.cut))
+    s_co = descending(whole[1][0], None, C.shape)[0]
+    assert np.max(np.abs(s_ad - s_co), initial=0.0) <= 1e-13 * top
+    assert A.dims()[1] == sign_rule_count(M_ad.shape[1], s_ad, A.cut, whole[1][2])
 
 
 @pytest.mark.parametrize("rho", [1.0, 25.0])
@@ -303,8 +390,9 @@ def test_every_reader_ranks_the_same_values(name, rho):
     # LAPACK routines, which differ in the last bits on these coupled blocks
     P = PROBLEMS[name](rho)
     plain, full = assemble(P), assemble(P, vectors=True)
-    for s, s_v in zip(plain.spectra, full.spectra):
-        assert np.array_equal(s, s_v)
+    for f, f_v in zip(plain.factors, full.factors):
+        assert np.array_equal(f.s, f_v.s) and f.top == f_v.top
+        assert np.array_equal(f.T, f_v.T) and np.array_equal(f.free, f_v.free)
     assert plain.cut == full.cut
     rep = index(P, certify=False)
     bases = index(P, certify=False, with_bases=True)

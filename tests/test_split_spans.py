@@ -4,13 +4,19 @@
 or g touch, with implied unit columns elsewhere, and each constraint matrix as
 per-end touched blocks with implied unit rows.  ``tests/dense_oracle.py`` keeps
 the dense builders it replaced.  The singular values, and the dense arrays that
-solves read, match the oracle's to round-off, and ker and coker are the
-oracle's exactly, also on six ``index_fresh`` inputs with a singular value
-within 10% of the shared 1e-9 cut.  The counts of those inputs are known to be
-wrong (a 1e-13 cut gives one less ker and coker), so they are compared with the
-oracle, not pinned.  The kernel and cokernel sections match the oracle's to
-1e-12.  ``quotient_dim`` reads its nesting from the two split spans, checked
-here against the dense ``membership`` route.
+solves read, match the oracle's to round-off; a span keeps its block columns
+first and its unit columns after them, so columns (and the rows of M) are
+matched by a permutation.  ker and coker are the oracle's exactly, also on six
+``index_fresh`` inputs with a singular value within 10% of the shared 1e-9
+cut, except where the oracle ranks against the cut the graded value
+e^(lambda rho) of a column that only one end constrains (``DENSE_MISCOUNTS``):
+there the sign rule ranks the column 1, and every APS/APS problem gives the
+sign rule's counts.  The counts of the six inputs are known to be wrong (a
+1e-13 cut gives one less ker and coker), so they are compared with the oracle,
+not pinned.  The kernel and cokernel sections match the oracle's to 1e-12, up
+to their order, with the oracle's matrices in the split spans' row order.
+``quotient_dim`` reads its nesting from the two split spans, checked here
+against the dense ``membership`` route.
 """
 
 import time
@@ -34,6 +40,13 @@ from apslab.spectral_core import BoundarySection, EigenmodeBasis, Mode, SigmaZer
 
 from test_certificate import graph_problem
 from test_split_factor import PROBLEMS as SPLIT_PROBLEMS
+from test_split_factor import (
+    assert_dense_matches,
+    column_permutation,
+    descending,
+    sign_rule_count,
+    whole_matrices,
+)
 
 # (shift, rho, graph_seed, left cut, right cut, left W dims, right W dims) of
 # index_fresh (seed, round, slot) = (4, 4, 0), (5, 9, 3), (6, 3, 0), (6, 5, 0),
@@ -113,25 +126,45 @@ def build(name, rho):
     return PROBLEMS[name](rho)
 
 
+# The dense oracle ranks every value against the cut, and so drops the graded
+# values e^(lambda rho) of the columns that only one end constrains
+DENSE_MISCOUNTS = {
+    ("aps_-2.5_1.5", 25.0), ("aps_-2.5_100.0", 25.0), ("aps_1.5_-2.5", 25.0),
+    ("aps_100.0_-2.5", 25.0), ("long_aps", 10.0), ("long_aps", 25.0), ("long_aps", 50.0),
+}
+
+
+def sign_rule(P):
+    """(dim ker, dim coker) of a problem with APS ends B(a) over A and B(c) over -A:
+    a mode is in the kernel when free at both ends (lambda < a, -lambda < c),
+    and in the cokernel when constrained at both."""
+    lam, a, c = P.basis.coord_eigenvalue, P.left.cut, P.right.cut
+    return int(np.sum((lam < a) & (-lam < c))), int(np.sum((lam >= a) & (-lam >= c)))
+
+
 @pytest.mark.parametrize("name, rho", GRID)
 def test_spectra_match_the_dense_oracle(name, rho):
     P = build(name, rho)
-    A = assemble(P)
+    A = assemble(P, vectors=True)
     NL, NR, M, spectra, _, cut = dense_oracle.assemble(P)
     top = max((s[0] for s in spectra if s.size), default=0.0)
-    for s, s_dense in zip(A.spectra, spectra):
+    whole = whole_matrices(P, A)
+    for (values, _, _), s_dense in zip(whole, spectra):
+        s = descending(values, None, (s_dense.size, values.size))[0]
         assert s.shape == s_dense.shape
         assert np.max(np.abs(s - s_dense), initial=0.0) <= 1e-14 * top
     D = P.basis.total_dim
-    assert A.dims() == tuple(D - int(np.sum(s > cut)) for s in spectra)
-    for got, want in zip(A.dense(), (NL, NR, M)):
-        assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-14
+    dense_counts = tuple(D - int(np.sum(s > cut)) for s in spectra)
+    assert A.dims() == tuple(sign_rule_count(D, s, cut, f[2]) for s, f in zip(spectra, whole))
+    assert (A.dims() != dense_counts) == ((name, rho) in DENSE_MISCOUNTS)
+    if P.left.provenance == P.right.provenance == "aps":
+        assert A.dims() == sign_rule(P)
+    assert_dense_matches(A.dense(), (NL, NR, M), tol=1e-14)
     # only the touched coordinates are dense: each end's block covers the
     # coordinates that its own W and g reach
     for end, span in zip((P.left, P.right), (A.NL, A.NR)):
         reach = sum(end.basis.fiber_dim(mid) for mid in touched_modes(end))
-        assert span.block.shape == (span.rows.size, span.block_pos.size)
-        assert span.rows.size <= reach
+        assert span.block.shape[0] == span.rows.size <= reach
 
 
 @pytest.mark.parametrize(
@@ -140,17 +173,30 @@ def test_spectra_match_the_dense_oracle(name, rho):
 @pytest.mark.parametrize("rho", [0.3, 25.0])
 def test_sections_match_the_dense_oracle(name, rho):
     P = build(name, rho)
-    want = dense_oracle.sections(P)
+    # the oracle's spans, and so the rows of its matrices, in the split spans' order
+    builds = ((dense_oracle.span, "span_matrix"), (dense_oracle.perp_span, "perp_span_matrix"))
+    order = [
+        column_permutation(getattr(end, split)().dense(), oracle(end), tol=1e-14)
+        for oracle, split in builds
+        for end in (P.left, P.right)
+    ]
+    want = dense_oracle.sections(P, order)
     rep = index(P, certify=False, with_bases=True)
     res = solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
     for got in ((rep.kernel_basis, rep.cokernel_basis), (res.kernel_basis, res.obstruction_basis)):
         for sections, oracle in zip(got, want):
-            assert len(sections) == len(oracle)
-            for a, b in zip(sections, oracle):
-                for t in (0.0, P.rho):
-                    x = a.trace(t).to_dense(a.basis)
-                    y = b.trace(t).to_dense(b.basis)
-                    assert np.max(np.abs(x - y), initial=0.0) <= 1e-12
+            # the same sections, in another order: matched by a permutation
+            traces = [
+                np.concatenate([sec.trace(t).to_dense(sec.basis) for t in (0.0, P.rho)])
+                for sec in sections
+            ]
+            wanted = [
+                np.concatenate([sec.trace(t).to_dense(sec.basis) for t in (0.0, P.rho)])
+                for sec in oracle
+            ]
+            assert len(traces) == len(wanted)
+            if traces:
+                column_permutation(np.transpose(traces), np.transpose(wanted), tol=1e-12)
 
 
 def nested_by_membership(B1, B2):
