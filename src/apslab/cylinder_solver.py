@@ -364,16 +364,21 @@ def _factor(M: np.ndarray, vectors: bool = False) -> tuple:
 class _Factored:
     """One constraint matrix over a problem's coordinates, factored where it is dense.
 
-    T is the union of the dense rows of the two spans that give the matrix.  A
-    coordinate off T carries at most a unit row per end, so by the sign rule its
-    column has rank 1 when either end has one, and is a null direction, one of
-    ``free``, when neither has; its closed-form value, sqrt(d0^2 + dr^2) of the
-    unit entries it has, is never ranked, and ``top`` is the largest of them.
-    ``s`` and ``vh`` are the ``_factor`` of the dense block on the columns T.
+    ``ends`` holds (span, unit, rows) per end: the span that gives the rows,
+    and its unit and dense coordinates in the problem's coordinates.  T is the
+    union of the dense rows of the two spans.  A coordinate off T carries at
+    most a unit row per end, so by the sign rule its column has rank 1 when
+    either end has one, and is a null direction, one of ``free``, when neither
+    has; its closed-form value, sqrt(d0^2 + dr^2) of the unit entries it has,
+    is never ranked, and ``top`` is the largest of them.  ``block`` is the
+    matrix on the columns T, and ``s`` and ``vh`` are its ``_factor``; the
+    solve and the sections read ``block`` and ``vh``, None without vectors.
     """
 
+    ends: list
     T: np.ndarray
     free: np.ndarray
+    block: Optional[np.ndarray]
     s: np.ndarray
     vh: Optional[np.ndarray]
     top: float
@@ -390,6 +395,31 @@ class _Factored:
         X[self.free.size :, self.T] = block
         return X
 
+    def coords(self, traces: tuple) -> np.ndarray:
+        """The coordinates of each end's trace in its span, the traces (at t=0,
+        at t=rho) given over the problem's coordinates."""
+        return np.concatenate([
+            v
+            for (span, unit, rows), x in zip(self.ends, traces)
+            for v in (span.block.conj().T @ x[rows], x[unit])
+        ])
+
+    def fit(self, traces: tuple, scales: tuple) -> np.ndarray:
+        """The least-squares c for which the traces x + d c have the smallest
+        ``coords``.  The block on T goes through ``lstsq``.  Off T, a coordinate
+        j has at most a unit row d_j c_j = -x_j per end, so c_j is
+        -(sum d_j x_j) / (sum d_j^2) over the ends that have one, and 0, the
+        least-norm value, where none has (or d_j^2 underflows)."""
+        D = traces[0].size
+        num, den, rhs = np.zeros(D, dtype=complex), np.zeros(D), []
+        for (span, unit, rows), x, d in zip(self.ends, traces, scales):
+            num[unit] += d[unit] * x[unit]
+            den[unit] += d[unit] * d[unit]
+            rhs.append(span.touching(self.T, unit, rows).conj().T @ x[self.T])
+        c = -np.divide(num, den, out=np.zeros(D, dtype=complex), where=den > 0)
+        c[self.T] = np.linalg.lstsq(self.block, -np.concatenate(rhs), rcond=None)[0]
+        return c
+
 
 def _factor_constraints(
     P: CylinderProblem, left: Span, right: Span, scales: tuple, vectors: bool
@@ -403,19 +433,20 @@ def _factor_constraints(
     placed by ``Span.touching``.
     """
     ends = [
-        (span, *(_coords_in(b, P.basis, x) for x in (span.unit, span.rows)), d)
-        for span, b, d in ((left, P.left.basis, scales[0]), (right, P.right.basis, scales[1]))
+        (span, *(_coords_in(b, P.basis, x) for x in (span.unit, span.rows)))
+        for span, b in ((left, P.left.basis), (right, P.right.basis))
     ]
     T = np.union1d(ends[0][2], ends[1][2])  # the dense rows of both spans
     sq, has_unit, parts = np.zeros(P.basis.total_dim), np.zeros(P.basis.total_dim, bool), []
-    for span, unit, rows, d in ends:
+    for (span, unit, rows), d in zip(ends, scales):
         sq[unit] += d[unit] * d[unit]
         has_unit[unit] = True
         H = homogeneous_constraint_matrix(span, d[rows])
         parts.append(span.touching(T, unit, rows, H.T, d[unit]).T)
     sq[T], has_unit[T] = 0.0, True  # the block ranks the columns on T
-    s, vh = _factor(np.vstack(parts), vectors)
-    return _Factored(T, (~has_unit).nonzero()[0], s, vh, float(np.sqrt(sq.max(initial=0.0))))
+    block, top = np.vstack(parts), float(np.sqrt(sq.max(initial=0.0)))
+    s, vh = _factor(block, vectors)
+    return _Factored(ends, T, (~has_unit).nonzero()[0], block if vectors else None, s, vh, top)
 
 
 def _shared_cut(*spectra: np.ndarray) -> float:
@@ -443,26 +474,11 @@ def _shared_cut(*spectra: np.ndarray) -> float:
 
 def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> CylinderSection:
     out = {}
-    for m in basis.modes:
-        off = basis.offset(m.mode_id)
-        block = c[off : off + m.fiber_dim]
-        if np.any(block != 0):
-            h = _homogeneous_profile(m.eigenvalue, rho)
-            out[m.mode_id] = [h.scale(a) for a in block]
+    for pos in np.unique(basis.coord_mode[np.flatnonzero(c)]).tolist():  # in basis order
+        m, off = basis.modes[pos], basis.mode_offsets[pos]
+        h = _homogeneous_profile(m.eigenvalue, rho)
+        out[m.mode_id] = [h.scale(a) for a in c[off : off + m.fiber_dim]]
     return CylinderSection(basis, rho, out)
-
-
-def _unitary_part(sigma0: SigmaZero, ab: EigenmodeBasis) -> np.ndarray:
-    """sigma_0 / scale as a dense matrix from sigma0.basis coordinates to ``ab``'s.
-
-    Block U_j = blocks[j] / scale maps the fiber of mode j into that of tau(j).
-    """
-    basis = sigma0.basis
-    U = np.zeros((ab.total_dim, basis.total_dim), dtype=complex)
-    for j, S in sigma0.blocks.items():
-        ot, os = ab.offset(sigma0.tau(j)), basis.offset(j)
-        U[ot : ot + S.shape[0], os : os + S.shape[1]] = S / sigma0.scale
-    return U
 
 
 @dataclasses.dataclass(frozen=True)
@@ -472,11 +488,10 @@ class Assembly:
     ``NL`` and ``NR`` are the split perp spans of the problem's two ends, and
     ``scales`` the values (at t=0, at t=rho) of the normalized homogeneous
     solutions, per coordinate of the problem's basis: the constraint matrix is
-    NL^* d0 over NR^* dr, which ``dense()`` lays out in full for a solve.
-    ``factors`` holds the ``_Factored`` constraint matrix and cokernel matrix;
-    their vh are None without vectors.  ``adjoint_basis``, set only with
-    vectors, is the basis of the adjoint side, over which the cokernel
-    sections live.
+    NL^* d0 over NR^* dr, which is never laid out whole.  ``factors`` holds the
+    ``_Factored`` constraint matrix and cokernel matrix; their block and vh
+    are None without vectors.  ``adjoint_basis``, set only with vectors, is
+    the basis of the adjoint side, over which the cokernel sections live.
     """
 
     problem: CylinderProblem
@@ -491,28 +506,21 @@ class Assembly:
         """(dim ker, dim coker): the nullities of both matrices at the shared cut."""
         return tuple(f.nullity(self.cut) for f in self.factors)
 
-    def dense(self) -> tuple:
-        """(NL, NR, M): the two perp spans and the constraint matrix as dense arrays."""
-        P = self.problem
-        NL, NR = self.NL.dense(), self.NR.dense()
-        coords = np.arange(P.basis.total_dim)
-        M = np.vstack([
-            Q[_coords_in(P.basis, cond.basis, coords)].conj().T * d
-            for Q, cond, d in ((NL, P.left, self.scales[0]), (NR, P.right, self.scales[1]))
-        ])
-        return NL, NR, M
-
     def sections(self) -> tuple:
         """Orthonormal (kernel, cokernel) sections, from the null vectors of each matrix.
 
         A null vector y of the cokernel matrix gives the cokernel section with
-        coefficients x_{tau(j)} = U_j y_j over the adjoint basis.
+        coefficients sigma_0 y / scale over the adjoint basis: sigma_0's block j
+        moves the fiber of mode j into that of tau(j).
         """
         P, ab, D = self.problem, self.adjoint_basis, self.problem.basis.total_dim
         K, Y = (f.null_vectors(self.cut, D) for f in self.factors)
-        X = Y @ _unitary_part(P.sigma0, ab).T
         kernel = [_coeffs_to_section(P.basis, P.rho, c) for c in K]
-        return kernel, [_coeffs_to_section(ab, P.rho, x) for x in X]
+        cokernel = [
+            P.sigma0.apply(BoundarySection.from_dense(P.basis, y)).to_dense(ab) / P.sigma0.scale
+            for y in Y
+        ]
+        return kernel, [_coeffs_to_section(ab, P.rho, x) for x in cokernel]
 
 
 def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
@@ -548,38 +556,22 @@ def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
     """General solve: Phi = S_0 Psi + homogeneous part fitted to both conditions.
 
     The constraints, and the kernel and obstruction bases, are read from the
-    one ``assemble`` record of P that ``index`` also reads.
+    one ``assemble`` record of P that ``index`` also reads, and the fit is
+    solved on its split (``_Factored.fit``), so no total_dim^2 array is built.
     """
     if not psi.basis.same_modes(P.basis) or psi.rho != P.rho:
         raise BasisMismatchError("right-hand side disagrees with the problem")
     psi = psi.on_basis(P.basis)
     phi_p = s0_apply(psi, P.sigma0)
     A = assemble(P, vectors=True)
-    NL, NR, M = A.dense()
-    x0 = phi_p.trace0().to_dense(P.basis)
-    xr = phi_p.trace_rho().to_dense(P.right.basis)
-    rhs_parts = []
-    if NL.size:
-        rhs_parts.append(-(NL.conj().T @ x0))
-    if NR.size:
-        rhs_parts.append(-(NR.conj().T @ xr))
-    rhs = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0, dtype=complex)
-
-    residuals = {}
+    f, x = A.factors[0], tuple(phi_p.trace(t).to_dense(P.basis) for t in (0.0, P.rho))
+    c = f.fit(x, A.scales)
+    gap = float(np.linalg.norm(f.coords([xi + d * c for xi, d in zip(x, A.scales)])))
+    residuals = {"constraint_residual": gap}
+    consistent = gap <= CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(f.coords(x))))
     particular = None
-    consistent = True
-    if M.shape[0]:
-        c, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        gap = float(np.linalg.norm(M @ c - rhs))
-        residuals["constraint_residual"] = gap
-        consistent = gap <= CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(rhs)))
-        if consistent:
-            particular = phi_p + _coeffs_to_section(P.basis, P.rho, c)
-    else:
-        particular = phi_p
-        residuals["constraint_residual"] = 0.0
-
-    if particular is not None:
+    if consistent:
+        particular = phi_p + _coeffs_to_section(P.basis, P.rho, c)
         check = model_apply(particular, P.sigma0) - psi
         residuals["operator_residual"] = math.sqrt(max(check.l2_norm_sq(), 0.0))
 

@@ -697,6 +697,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # the overrides obey the rules that the file's own fields obey
+        for name, rule in (("truncation", _COUNT), ("seed", _NON_NEGATIVE_INTEGER)):
+            if getattr(args, name) is not None:
+                _check(getattr(args, name), rule, f"--{name}")
         with open(args.scenario, "rb") as fh:
             scenarios = parse_scenario_file(fh.read())
     except (OSError, ScenarioError) as e:

@@ -7,7 +7,10 @@ the builders that came before it: every span and constraint matrix as a dense
 array with ``total_dim`` rows or columns, and its singular values from a
 split of the whole matrix into lone columns and one coupled block.  The split
 route must give the same singular values to round-off, and the same counts at
-the shared cut.  It also keeps the dense route of the Fredholm pair index:
+the shared cut.  The whole constraint matrix M, solved by
+``np.linalg.lstsq``, is the reference for ``solve_bvp``'s fit on the split,
+and ``unitary_part``, sigma_0 / scale as a dense matrix, the reference for the
+cokernel sections.  It also keeps the dense route of the Fredholm pair index:
 the rank of the two spans' full columns side by side, at RANK_THRESHOLD times
 its largest singular value.
 """
@@ -21,7 +24,6 @@ from apslab.cylinder_solver import (
     CylinderProblem,
     _coeffs_to_section,
     _shared_cut,
-    _unitary_part,
 )
 from apslab.index_calculus import FredholmPairReport
 
@@ -190,11 +192,24 @@ def sections(P: CylinderProblem, order=None) -> tuple:
     *_, spectra, vh, cut = assemble(P, vectors=True, order=order)
     ab = P.sigma0.adjoint_basis()
     K, Y = (v[int(np.sum(s > cut)) :].conj() for s, v in zip(spectra, vh))
-    X = Y @ _unitary_part(P.sigma0, ab).T
+    X = Y @ unitary_part(P.sigma0, ab).T
     return (
         [_coeffs_to_section(P.basis, P.rho, c) for c in K],
         [_coeffs_to_section(ab, P.rho, x) for x in X],
     )
+
+
+def unitary_part(sigma0, ab):
+    """sigma_0 / scale as a dense matrix from sigma0.basis coordinates to ``ab``'s.
+
+    Block U_j = blocks[j] / scale maps the fiber of mode j into that of tau(j).
+    """
+    basis = sigma0.basis
+    U = np.zeros((ab.total_dim, basis.total_dim), dtype=complex)
+    for j, S in sigma0.blocks.items():
+        ot, os = ab.offset(sigma0.tau(j)), basis.offset(j)
+        U[ot : ot + S.shape[0], os : os + S.shape[1]] = S / sigma0.scale
+    return U
 
 
 def rank(M):

@@ -14,13 +14,9 @@ with fiber-2 unitary blocks.
 import numpy as np
 import pytest
 
+import dense_oracle
 from apslab.boundary_conditions import adjoint, seeded_graph_condition
-from apslab.cylinder_solver import (
-    CylinderProblem,
-    _unitary_part,
-    adjoint_problem,
-    assemble,
-)
+from apslab.cylinder_solver import CylinderProblem, adjoint_problem, assemble
 from apslab.index_calculus import kernel_dim
 from apslab.spectral_core import EigenmodeBasis, SigmaZero
 
@@ -85,7 +81,7 @@ def test_adjoint_condition_spans_u_times_the_condition(name):
     P = PROBLEMS[name](1.0)
     for B, sigma in ends(P):
         ad = adjoint(B, sigma)
-        U = _unitary_part(sigma.on_basis(B.basis), ad.basis)
+        U = dense_oracle.unitary_part(sigma.on_basis(B.basis), ad.basis)
         assert np.allclose(U.conj().T @ U, np.eye(B.basis.total_dim), atol=1e-14)
         UB = U @ B.span_matrix().dense()
         N = ad.perp_span_matrix().dense()

@@ -2,11 +2,12 @@
 analytic identities (reference isomorphism, Green, energy, a-priori bounds)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from apslab.boundary_conditions import make_generalized_aps
+from apslab.boundary_conditions import make_generalized_aps, seeded_graph_condition
 from apslab.cylinder_solver import (
     CylinderProblem,
     CylinderSection,
@@ -27,6 +28,7 @@ from apslab.cylinder_solver import (
     solve_bvp,
 )
 from apslab.expoly import Profile, first_order_solve
+from apslab.index_calculus import index
 from apslab.spectral_core import EigenmodeBasis, SigmaZero, random_section
 
 RHO = 1.0
@@ -344,3 +346,35 @@ class TestExtension:
     def test_probe_rejects_empty_input(self):
         with pytest.raises(SolverError):
             extension_bound_probe([], 0.0, 0.9, RHO)
+
+
+def traced_peak(fn) -> float:
+    """The tracemalloc peak, in bytes, of a second call of ``fn``."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ends", ["aps", "graph"])
+def test_solve_and_bases_build_no_total_dim_squared_array(ends):
+    # one complex total_dim x total_dim array at 1025 takes 16.8 MB: the dense
+    # constraint matrix and lstsq took the solve to 50.8 MB, and the dense
+    # sigma_0 of the cokernel sections took index(with_bases=True) to 17.1 MB
+    basis = EigenmodeBasis.lattice(512, shift=0.1, band_limit=2.0, spacing=0.5)
+    nb = basis.negated()
+    if ends == "aps":
+        left, right = make_generalized_aps(basis, 0.4), make_generalized_aps(nb, -0.1)
+    else:
+        rng = np.random.default_rng(2)
+        left = seeded_graph_condition(basis, rng, cut=0.5, dim_w_plus=1, dim_w_minus=2, g_norm=0.7)
+        right = seeded_graph_condition(nb, rng, cut=-0.3, g_norm=0.6)
+    P = CylinderProblem(basis, SigmaZero.scalar(basis, 1j), 1.3, left, right)
+    assert P.basis.total_dim == 1025
+    rng = np.random.default_rng(3)
+    psi = random_cylinder_section(basis, rng, P.rho, n_modes=6, max_abs_eigenvalue=4.0)
+    assert traced_peak(lambda: solve_bvp(P, psi)) < 4e6
+    assert traced_peak(lambda: index(P, with_bases=True)) < 4e6

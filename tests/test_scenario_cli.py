@@ -442,6 +442,15 @@ class TestCli:
         p.write_text("{broken")
         assert main(["--scenario", str(p)]) == 2
         assert "error" in capsys.readouterr().err
+        # an override breaks the rule of the file field it replaces: seed >= 0,
+        # truncation >= 1; --seed -1 once aborted the batch with a traceback,
+        # --truncation 0 was ignored and --truncation -2 failed every scenario
+        path = self.write(tmp_path, {"kind": "index", "payload": REFERENCE_PROBLEM})
+        for flag, value in (("--seed", "-1"), ("--truncation", "0"), ("--truncation", "-2")):
+            assert main(["--scenario", path, flag, value]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith(f"error: schema violation at {flag}: {value} is less")
 
     def test_out_file_and_format(self, tmp_path, capsys):
         path = self.write(tmp_path, {"kind": "index", "payload": REFERENCE_PROBLEM})

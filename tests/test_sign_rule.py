@@ -8,7 +8,9 @@ a null direction when neither does, whatever the value exp(-|lambda| rho) of
 the normalized homogeneous solution at the constraining end.  Ranking those
 values against a normwise cut dropped the graded ones (e^-25, e^-50 and e^-75
 of the top on ``index_fresh``'s long_aps slot at rho 25) and counted one
-kernel and one cokernel mode too many for each.
+kernel and one cokernel mode too many for each.  ``solve_bvp`` solves such a
+column in closed form, so a right-hand side that misses the cokernel is
+solvable at any length.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from apslab.cylinder_solver import (
     CylinderSection,
     solve_bvp,
 )
+from apslab.expoly import Profile
 from apslab.index_calculus import index, kernel_dim
 from apslab.spectral_core import EigenmodeBasis, SigmaZero
 
@@ -64,3 +67,20 @@ def test_modes_constrained_at_one_end_only(rho):
     basis = EigenmodeBasis.lattice(8, band_limit=4.0)
     assert_counts(aps_problem(basis, -2.5, 1.5, rho), (0, 1))
 
+
+@pytest.mark.parametrize("rho", [25.0, 50.0])
+def test_a_mode_constrained_at_one_end_is_solved(rho):
+    # lambda = -1 is constrained at t=0 alone, where its homogeneous solution is
+    # e^-rho of its top; lstsq on the whole matrix dropped that column at rho 50
+    # and reported every right-hand side on the mode unsolvable, although the
+    # cokernel is the mode lambda = -2 alone
+    basis = EigenmodeBasis.lattice(8, band_limit=4.0)
+    P = aps_problem(basis, -2.5, 1.5, rho)
+    profile = Profile.from_terms([(1.0 + 0.5j, 1, 0.3j), (0.7, 0, -0.2)], 0.0, rho)
+    modes = [m.mode_id for m in basis.modes if m.eigenvalue != -2.0]
+    res = solve_bvp(P, CylinderSection(basis, rho, {j: [profile] for j in modes}))
+    assert res.consistent and res.residuals["constraint_residual"] <= 1e-12
+    lam = basis.coord_eigenvalue
+    x0, xr = (res.particular.trace(t).to_dense() for t in (0.0, rho))
+    assert np.abs(x0[lam >= -2.5]).max() <= 1e-12
+    assert np.abs(xr[lam <= -1.5]).max() <= 1e-12

@@ -3,10 +3,10 @@
 ``assemble`` builds each span from ``(cut, W, g)`` on the coordinates that W
 or g touch, with implied unit columns elsewhere, and each constraint matrix as
 per-end touched blocks with implied unit rows.  ``tests/dense_oracle.py`` keeps
-the dense builders it replaced.  The singular values, and the dense arrays that
-solves read, match the oracle's to round-off; a span keeps its block columns
-first and its unit columns after them, so columns (and the rows of M) are
-matched by a permutation.  ker and coker are the oracle's exactly, also on six
+the dense builders it replaced.  The singular values and the perp spans match
+the oracle's to round-off; a span keeps its block columns first and its unit
+columns after them, so columns are matched by a permutation.  ker and coker
+are the oracle's exactly, also on six
 ``index_fresh`` inputs with a singular value within 10% of the shared 1e-9
 cut, except where the oracle ranks against the cut the graded value
 e^(lambda rho) of a column that only one end constrains (``DENSE_MISCOUNTS``):
@@ -14,7 +14,10 @@ there the sign rule ranks the column 1, and every APS/APS problem gives the
 sign rule's counts.  The counts of the six inputs are known to be wrong (a
 1e-13 cut gives one less ker and coker), so they are compared with the oracle,
 not pinned.  The kernel and cokernel sections match the oracle's to 1e-12, up
-to their order, with the oracle's matrices in the split spans' row order.
+to their order, with the oracle's matrices in the split spans' row order; so
+does a solve with a seeded right-hand side match ``np.linalg.lstsq`` on the
+oracle's whole constraint matrix, up to round-off amplified by the condition
+number of what lstsq inverts.
 ``quotient_dim`` reads its nesting from the two split spans, checked here
 against the dense ``membership`` route.
 """
@@ -34,14 +37,23 @@ from apslab.boundary_conditions import (
     quotient_dim,
     seeded_graph_condition,
 )
-from apslab.cylinder_solver import CylinderProblem, CylinderSection, assemble, solve_bvp
+from apslab.cylinder_solver import (
+    CONSISTENCY_TOL,
+    CylinderProblem,
+    CylinderSection,
+    _coeffs_to_section,
+    assemble,
+    random_cylinder_section,
+    s0_apply,
+    solve_bvp,
+)
 from apslab.index_calculus import index
 from apslab.spectral_core import BoundarySection, EigenmodeBasis, Mode, SigmaZero
 
 from test_certificate import graph_problem
 from test_split_factor import PROBLEMS as SPLIT_PROBLEMS
 from test_split_factor import (
-    assert_dense_matches,
+    assert_spans_match,
     column_permutation,
     descending,
     sign_rule_count,
@@ -146,7 +158,7 @@ def sign_rule(P):
 def test_spectra_match_the_dense_oracle(name, rho):
     P = build(name, rho)
     A = assemble(P, vectors=True)
-    NL, NR, M, spectra, _, cut = dense_oracle.assemble(P)
+    NL, NR, _, spectra, _, cut = dense_oracle.assemble(P)
     top = max((s[0] for s in spectra if s.size), default=0.0)
     whole = whole_matrices(P, A)
     for (values, _, _), s_dense in zip(whole, spectra):
@@ -159,12 +171,37 @@ def test_spectra_match_the_dense_oracle(name, rho):
     assert (A.dims() != dense_counts) == ((name, rho) in DENSE_MISCOUNTS)
     if P.left.provenance == P.right.provenance == "aps":
         assert A.dims() == sign_rule(P)
-    assert_dense_matches(A.dense(), (NL, NR, M), tol=1e-14)
+    assert_spans_match(A, NL, NR, tol=1e-14)
     # only the touched coordinates are dense: each end's block covers the
     # coordinates that its own W and g reach
     for end, span in zip((P.left, P.right), (A.NL, A.NR)):
         reach = sum(end.basis.fiber_dim(mid) for mid in touched_modes(end))
         assert span.block.shape[0] == span.rows.size <= reach
+
+
+def traces(sec, rho):
+    return np.concatenate([sec.trace(t).to_dense(sec.basis) for t in (0.0, rho)])
+
+
+def oracle_solve(P, psi, order):
+    """The dense solve: ``np.linalg.lstsq`` on the oracle's whole constraint matrix
+    M, with its rows in ``order``.  Returns the particular solution, the
+    constraint residual, 1 + the norm of the right-hand side, and the condition
+    number of the part of M that lstsq inverts (values above its default rcond)."""
+    NL, NR, M, spectra, *_ = dense_oracle.assemble(P, order=order)
+    phi = s0_apply(psi, P.sigma0)
+    x0, xr = phi.trace0().to_dense(P.basis), phi.trace_rho().to_dense(P.right.basis)
+    rhs = -np.concatenate([NL.conj().T @ x0, NR.conj().T @ xr])
+    c = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    s = spectra[0]
+    inverted = s[s > np.finfo(float).eps * max(M.shape) * s[0]]
+    particular = phi + _coeffs_to_section(P.basis, P.rho, c)
+    scale = 1.0 + float(np.linalg.norm(rhs))
+    return particular, float(np.linalg.norm(M @ c - rhs)), scale, s[0] / inverted[-1]
+
+
+# the problems whose seeded right-hand side meets the cokernel
+OBSTRUCTED = {(name, rho) for name in ("graph_f1_s3", "mixed_fibers") for rho in (0.3, 25.0)}
 
 
 @pytest.mark.parametrize(
@@ -182,21 +219,32 @@ def test_sections_match_the_dense_oracle(name, rho):
     ]
     want = dense_oracle.sections(P, order)
     rep = index(P, certify=False, with_bases=True)
-    res = solve_bvp(P, CylinderSection.zero(P.basis, P.rho))
-    for got in ((rep.kernel_basis, rep.cokernel_basis), (res.kernel_basis, res.obstruction_basis)):
-        for sections, oracle in zip(got, want):
+    psi = random_cylinder_section(P.basis, np.random.default_rng(1), P.rho)
+    solves = [solve_bvp(P, CylinderSection.zero(P.basis, P.rho)), solve_bvp(P, psi)]
+    got = [(rep.kernel_basis, rep.cokernel_basis)]
+    got += [(res.kernel_basis, res.obstruction_basis) for res in solves]
+    for bases in got:
+        for sections, oracle in zip(bases, want):
             # the same sections, in another order: matched by a permutation
-            traces = [
-                np.concatenate([sec.trace(t).to_dense(sec.basis) for t in (0.0, P.rho)])
-                for sec in sections
-            ]
-            wanted = [
-                np.concatenate([sec.trace(t).to_dense(sec.basis) for t in (0.0, P.rho)])
-                for sec in oracle
-            ]
-            assert len(traces) == len(wanted)
-            if traces:
-                column_permutation(np.transpose(traces), np.transpose(wanted), tol=1e-12)
+            found = [traces(sec, P.rho) for sec in sections]
+            wanted = [traces(sec, P.rho) for sec in oracle]
+            assert len(found) == len(wanted)
+            if found:
+                column_permutation(np.transpose(found), np.transpose(wanted), tol=1e-12)
+    # the split solve against lstsq on the whole matrix: round-off, amplified by
+    # the condition number of what lstsq inverts (1.1e13 for graph_f1_s3 at rho
+    # 25, whose value 9.4e-14 of the top lies under the rank cut but is inverted)
+    res = solves[1]
+    particular, gap, scale, kappa = oracle_solve(P, psi, order)
+    tol = 1e-12 + kappa * np.finfo(float).eps
+    assert res.consistent == (gap <= CONSISTENCY_TOL * scale) == ((name, rho) not in OBSTRUCTED)
+    assert abs(res.residuals["constraint_residual"] - gap) <= tol * scale
+    if res.consistent:
+        wanted = traces(particular, P.rho)
+        found = traces(res.particular, P.rho)
+        assert np.linalg.norm(found - wanted) <= tol * np.linalg.norm(wanted)
+    else:
+        assert res.particular is None
 
 
 def nested_by_membership(B1, B2):
