@@ -56,9 +56,10 @@ class ModeMap:
             raise ConditionError(f"unknown ModeMap tag {tag!r}")
         self.basis = basis
         self.entries = {}
-        for (tgt, src), block in (entries or {}).items():
+        entries = entries or {}
+        fibers = basis.mode_fibers[basis._positions(list(entries))].reshape(-1, 2).tolist()
+        for ((tgt, src), block), want in zip(entries.items(), map(tuple, fibers)):
             arr = np.atleast_2d(np.asarray(block, dtype=complex))
-            want = (basis.fiber_dim(tgt), basis.fiber_dim(src))
             if arr.shape != want:
                 raise ConditionError(f"block shape {arr.shape} != {want} at entry ({tgt},{src})")
             if np.any(arr != 0):
@@ -90,14 +91,6 @@ class ModeMap:
             if src in phi.coeffs:
                 out[tgt] = out.get(tgt, 0) + block @ phi.coeffs[src]
         return BoundarySection(phi.basis, out)
-
-    def dense(self) -> np.ndarray:
-        basis = self.basis
-        G = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-        for (tgt, src), block in self.entries.items():
-            ot, os = basis.offset(tgt), basis.offset(src)
-            G[ot : ot + block.shape[0], os : os + block.shape[1]] = block
-        return G
 
     def operator_norm(self) -> float:
         if self._norm is None:
@@ -179,9 +172,9 @@ def _orthonormalize(M: np.ndarray, units: bool = False, tol: float = RANK_TOL) -
 
 
 def _mode_positions(basis: EigenmodeBasis, other: EigenmodeBasis) -> np.ndarray:
-    """Index array p with other.modes[p[i]] the mode of basis.modes[i], on one lattice."""
-    p = np.empty(len(basis.modes), dtype=int)
-    p[np.argsort(basis.mode_ids)] = np.argsort(other.mode_ids)
+    """Index array p with other.mode_ids[p] == basis.mode_ids, on one lattice."""
+    p = np.empty(basis.mode_ids.size, dtype=int)
+    p[basis._id_order[1]] = other._id_order[1]
     return p
 
 
@@ -313,14 +306,16 @@ class BoundaryCondition:
             cross = self.w_plus.conj().T @ self.w_minus
             if np.max(np.abs(cross)) > 1e-10:
                 raise ConditionError("W_plus and W_minus are not orthogonal")
-        for tgt, src in self.g.entries:
-            if basis.eigenvalue(src) >= self.cut:
+        pairs = list(self.g.entries)
+        lam = basis.mode_eigenvalues[basis._positions(pairs)].reshape(-1, 2).tolist()
+        for (tgt, src), (lam_t, lam_s) in zip(pairs, lam):
+            if lam_s >= self.cut:
                 raise ConditionError(f"g source mode {src} not on the lower side of the cut")
-            if basis.eigenvalue(tgt) < self.cut:
+            if lam_t < self.cut:
                 raise ConditionError(f"g target mode {tgt} not on the upper side of the cut")
             if self.g.tag == "finite_band":
-                for mid in (tgt, src):
-                    if abs(basis.eigenvalue(mid)) > band + ORTHO_TOL:
+                for mid, x in ((tgt, lam_t), (src, lam_s)):
+                    if abs(x) > band + ORTHO_TOL:
                         raise ConditionError(f"finite_band g entry leaves the band at mode {mid}")
 
     # -- derived data ------------------------------------------------------
@@ -359,15 +354,17 @@ class BoundaryCondition:
     @functools.cached_property
     def _touched(self) -> tuple:
         """(rows, at, W): the coordinates that a W vector or a g entry touches,
-        the position of each in ``rows`` (by coordinate), and
-        W_plus (+) W_minus on them.  Both spans are built on these rows."""
+        the positions in ``rows`` of the first coordinates of each g entry's
+        (target, source) modes, and W_plus (+) W_minus on the rows.  Both spans
+        are built on these rows."""
         basis = self.basis
         W = self.w_all()
-        gmodes = self.g.source_ids() | self.g.target_ids()
-        in_g = np.zeros(len(basis.modes), dtype=bool)
-        in_g[basis.coord_mode[np.fromiter(map(basis.offset, gmodes), int, len(gmodes))]] = True
+        pos = basis._positions(list(self.g.entries))
+        in_g = np.zeros(basis.mode_ids.size, dtype=bool)
+        in_g[pos] = True
         rows = (np.any(W != 0, axis=1) | in_g[basis.coord_mode]).nonzero()[0]
-        return rows, {j: i for i, j in enumerate(rows.tolist())}, W[rows]
+        at = np.searchsorted(rows, basis.mode_offsets[pos]).reshape(-1, 2).tolist()
+        return rows, at, W[rows]
 
     def _span(self, lower: bool) -> Span:
         """``span_matrix`` (lower) or ``perp_span_matrix``, built from (cut, W, g).
@@ -388,8 +385,7 @@ class BoundaryCondition:
         C[side.nonzero()[0], np.arange(touched.size)] = 1.0
         C -= W @ W[side].conj().T
         C = C[:, ~(np.linalg.norm(C, axis=0) < RANK_TOL)]
-        for (tgt, src), block in self.g.entries.items():
-            t, s = at[self.basis.offset(tgt)], at[self.basis.offset(src)]
+        for block, (t, s) in zip(self.g.entries.values(), at):
             if lower:
                 C[t : t + block.shape[0]] += block @ C[s : s + block.shape[1]]
             else:
@@ -402,27 +398,14 @@ class BoundaryCondition:
             unit = unit[:0]
         return Span(self.basis.total_dim, unit, rows, q)
 
-    def graph_projector_apply(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto graph(g) inside V_- (+) V_+, in closed form.
-
-        Given the V-components x_- and x_+ of x, the projection is (v, g v)
-        with v = (1 + g* g)^{-1} (x_- + g* x_+).
-        """
-        lower = self._side_mask(lower=True)
-        W = self.w_all()
-        xv = x - W @ (W.conj().T @ x) if W.size else x.copy()
-        xm = np.where(lower, xv, 0)
-        xp = np.where(~lower, xv, 0)
-        G = self.g.dense()
-        rhs = xm + G.conj().T @ xp
-        v = np.linalg.solve(np.eye(x.shape[0]) + G.conj().T @ G, rhs)
-        return v + G @ v
-
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto B = W_plus (+) graph(g)."""
-        out = self.graph_projector_apply(x)
-        if self.w_plus.size:
-            out = out + self.w_plus @ (self.w_plus.conj().T @ x)
+        """Orthogonal projection onto B = W_plus (+) graph(g): S S^* x over the
+        orthonormal columns S of ``span_matrix``, whose unit columns keep
+        their coordinates of x."""
+        S = self.span_matrix()
+        out = np.zeros(x.shape, dtype=complex)
+        out[S.rows] = S.block @ (S.block.conj().T @ x[S.rows])
+        out[S.unit] = x[S.unit]
         return out
 
     def membership(self, phi: BoundarySection, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -478,40 +461,33 @@ def make_chiral(basis: EigenmodeBasis, sigma0: SigmaZero, sign: int = 1) -> Boun
     if not sigma0.skew_unitary:
         raise ConditionError("chiral conditions need a skew-unitary sigma_0")
     sigma0 = sigma0.on_basis(basis)
-    for j in sigma0.targets:
-        lam = basis.eigenvalue(j)
-        lam_t = basis.eigenvalue(sigma0.tau(j))
-        if abs(lam + lam_t) > ORTHO_TOL:
-            raise ConditionError(
-                f"boundary operator does not anticommute with i*sigma_0 at mode {j}"
-            )
-    entries = {}
-    for j in sigma0.targets:
-        if basis.eigenvalue(j) < 0:
-            entries[(sigma0.tau(j), j)] = sign * 1j * sigma0.blocks[j]
+    ids, tau = basis.mode_ids.tolist(), list(sigma0.targets.values())  # in basis order
+    lam = basis.mode_eigenvalues
+    bad = np.flatnonzero(np.abs(lam + lam[basis._positions(tau)]) > ORTHO_TOL)
+    if bad.size:
+        raise ConditionError(
+            f"boundary operator does not anticommute with i*sigma_0 at mode {ids[bad[0]]}"
+        )
+    negative = np.flatnonzero(lam < 0).tolist()
+    entries = {(tau[i], ids[i]): sign * 1j * sigma0.blocks[ids[i]] for i in negative}
     g = ModeMap(basis, entries, "paired_diagonal")
 
-    zero_ids = [m.mode_id for m in basis.modes if m.eigenvalue == 0.0]
+    # i sigma_0 on the kernel modes, over their coordinates in basis order
+    zero_ids, k = basis.mode_ids[lam == 0.0].tolist(), basis.mode_fibers[lam == 0.0]
     w_plus, w_minus = [], []
     if zero_ids:
-        pos = {}
-        n = 0
-        for mid in zero_ids:
-            pos[mid] = n
-            n += basis.fiber_dim(mid)
-        Z = np.zeros((n, n), dtype=complex)
+        pos = dict(zip(zero_ids, (np.cumsum(k) - k).tolist()))
+        Z = np.zeros((int(k.sum()),) * 2, dtype=complex)
         for j in zero_ids:
             t = sigma0.tau(j)
             S = 1j * sigma0.blocks[j]
             Z[pos[t] : pos[t] + S.shape[0], pos[j] : pos[j] + S.shape[1]] = S
         vals, vecs = np.linalg.eigh(Z)
+        zero = np.flatnonzero(basis.coord_eigenvalue == 0.0)
         for val, vec in zip(vals, vecs.T):
-            coeffs = {}
-            for mid in zero_ids:
-                block = vec[pos[mid] : pos[mid] + basis.fiber_dim(mid)]
-                if np.linalg.norm(block) > 0:
-                    coeffs[mid] = block
-            sec = BoundarySection(basis, coeffs)
+            v = np.zeros(basis.total_dim, dtype=complex)
+            v[zero] = vec
+            sec = BoundarySection.from_dense(basis, v)
             if abs(val - sign) < 1e-8:
                 w_plus.append(sec)
             elif abs(val + sign) < 1e-8:
@@ -689,24 +665,23 @@ def seeded_graph_condition(
     n_g_pairs: int = 2,
 ) -> BoundaryCondition:
     """A seeded random band-limited graph condition with prescribed ||g||."""
-    band = basis.band_limit
-    lower = [m for m in basis.modes if m.eigenvalue < cut and abs(m.eigenvalue) <= band]
-    upper = [m for m in basis.modes if m.eigenvalue >= cut and abs(m.eigenvalue) <= band]
+    lam, ids, fibers = basis.mode_eigenvalues, basis.mode_ids.tolist(), basis.mode_fibers.tolist()
+    in_band = np.abs(lam) <= basis.band_limit
+    lower = np.flatnonzero((lam < cut) & in_band)
+    upper = np.flatnonzero((lam >= cut) & in_band)
     need_lo = (1 if dim_w_minus else 0) and max(1, dim_w_minus)
     need_hi = (1 if dim_w_plus else 0) and max(1, dim_w_plus)
-    if len(lower) < need_lo + n_g_pairs or len(upper) < need_hi + n_g_pairs:
+    if lower.size < need_lo + n_g_pairs or upper.size < need_hi + n_g_pairs:
         raise ConditionError("not enough band modes on one side of the cut")
-    lo_idx = rng.permutation(len(lower))
-    hi_idx = rng.permutation(len(upper))
-    lo_w = [lower[i] for i in lo_idx[:need_lo]]
-    lo_g = [lower[i] for i in lo_idx[need_lo : need_lo + n_g_pairs]]
-    hi_w = [upper[i] for i in hi_idx[:need_hi]]
-    hi_g = [upper[i] for i in hi_idx[need_hi : need_hi + n_g_pairs]]
+    lo_idx = lower[rng.permutation(lower.size)].tolist()
+    hi_idx = upper[rng.permutation(upper.size)].tolist()
+    lo_w, lo_g = lo_idx[:need_lo], lo_idx[need_lo : need_lo + n_g_pairs]
+    hi_w, hi_g = hi_idx[:need_hi], hi_idx[need_hi : need_hi + n_g_pairs]
 
     def random_family(modes, dim):
         if dim == 0 or not modes:
             return []
-        coords = sum(m.fiber_dim for m in modes)
+        coords = sum(fibers[m] for m in modes)
         dim = min(dim, coords)
         M = rng.standard_normal((coords, dim)) + 1j * rng.standard_normal((coords, dim))
         out = []
@@ -714,8 +689,8 @@ def seeded_graph_condition(
             coeffs = {}
             pos = 0
             for m in modes:
-                coeffs[m.mode_id] = M[pos : pos + m.fiber_dim, c]
-                pos += m.fiber_dim
+                coeffs[ids[m]] = M[pos : pos + fibers[m], c]
+                pos += fibers[m]
             out.append(BoundarySection(basis, coeffs))
         return out
 
@@ -726,10 +701,9 @@ def seeded_graph_condition(
     if g_norm > 0 and lo_g and hi_g:
         for s in lo_g:
             for t in hi_g:
-                blk = rng.standard_normal((t.fiber_dim, s.fiber_dim)) + 1j * rng.standard_normal(
-                    (t.fiber_dim, s.fiber_dim)
-                )
-                entries[(t.mode_id, s.mode_id)] = blk
+                shape = (fibers[t], fibers[s])
+                blk = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                entries[(ids[t], ids[s])] = blk
     g = ModeMap(basis, entries, "finite_band")
     if not g.is_zero():
         g = g.scale(g_norm / g.operator_norm())

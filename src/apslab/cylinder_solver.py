@@ -51,10 +51,12 @@ class CylinderSection:
         self.rho = float(rho)
         self.profiles: dict = {}
         for mode_id, profs in (profiles or {}).items():
-            if mode_id not in basis:
-                raise BasisMismatchError(f"mode_id {mode_id} not in basis")
+            try:
+                k = basis.mode_fibers[basis._pos(mode_id)]
+            except KeyError:
+                raise BasisMismatchError(f"mode_id {mode_id} not in basis") from None
             profs = list(profs)
-            if len(profs) != basis.fiber_dim(mode_id):
+            if len(profs) != k:
                 raise SolverError(f"need one profile per fiber slot at mode {mode_id}")
             for p in profs:
                 if (p.t0, p.t1) != (0.0, self.rho):
@@ -231,11 +233,6 @@ def extension_apply(phi: BoundarySection, r: float, rho: float) -> CylinderSecti
     return CylinderSection(phi.basis, rho, out)
 
 
-def _mode_eigenvalues(other: EigenmodeBasis, basis: EigenmodeBasis) -> np.ndarray:
-    """The eigenvalues that ``other`` gives the modes of ``basis``, in basis order."""
-    return other.coord_eigenvalue[other.mode_offsets[_mode_positions(basis, other)]]
-
-
 @dataclasses.dataclass
 class CylinderProblem:
     """The model operator on [0, rho] with boundary conditions at both ends.
@@ -264,15 +261,14 @@ class CylinderProblem:
         if not self.sigma0.basis.same_modes(self.basis):
             raise BasisMismatchError("sigma_0 disagrees with the problem basis")
         self.sigma0 = self.sigma0.on_basis(self.basis)
-        lam = self.basis.coord_eigenvalue[self.basis.mode_offsets]
-        if not self.left.basis.same_modes(self.basis):
-            raise BasisMismatchError("left condition disagrees with the problem basis")
-        if np.any(np.abs(_mode_eigenvalues(self.left.basis, self.basis) - lam) > 1e-12):
-            raise SolverError("left condition must be expressed over A")
-        if not self.right.basis.same_modes(self.basis):
-            raise BasisMismatchError("right condition disagrees with the problem basis")
-        if np.any(np.abs(_mode_eigenvalues(self.right.basis, self.basis) + lam) > 1e-12):
-            raise SolverError("right condition must be expressed over -A")
+        lam = self.basis.mode_eigenvalues
+        ends = ((self.left, "left", lam, "A"), (self.right, "right", -lam, "-A"))
+        for end, name, want, op in ends:
+            b = end.basis
+            if not b.same_modes(self.basis):
+                raise BasisMismatchError(f"{name} condition disagrees with the problem basis")
+            if np.any(np.abs(b.mode_eigenvalues[_mode_positions(self.basis, b)] - want) > 1e-12):
+                raise SolverError(f"{name} condition must be expressed over {op}")
 
 
 def adjoint_problem(P: CylinderProblem) -> CylinderProblem:
@@ -474,10 +470,13 @@ def _shared_cut(*spectra: np.ndarray) -> float:
 
 def _coeffs_to_section(basis: EigenmodeBasis, rho: float, c: np.ndarray) -> CylinderSection:
     out = {}
-    for pos in np.unique(basis.coord_mode[np.flatnonzero(c)]).tolist():  # in basis order
-        m, off = basis.modes[pos], basis.mode_offsets[pos]
-        h = _homogeneous_profile(m.eigenvalue, rho)
-        out[m.mode_id] = [h.scale(a) for a in c[off : off + m.fiber_dim]]
+    pos = np.unique(basis.coord_mode[np.flatnonzero(c)])  # in basis order
+    for mid, lam, off, k in zip(
+        basis.mode_ids[pos].tolist(), basis.mode_eigenvalues[pos].tolist(),
+        basis.mode_offsets[pos].tolist(), basis.mode_fibers[pos].tolist(),
+    ):
+        h = _homogeneous_profile(lam, rho)
+        out[mid] = [h.scale(a) for a in c[off : off + k]]
     return CylinderSection(basis, rho, out)
 
 
@@ -696,19 +695,16 @@ def random_cylinder_section(
     max_abs_eigenvalue: Optional[float] = None,
 ) -> CylinderSection:
     """A seeded random section with small exponential-polynomial profiles."""
-    pool = [
-        m
-        for m in basis.modes
-        if max_abs_eigenvalue is None or abs(m.eigenvalue) <= max_abs_eigenvalue
-    ]
-    if not pool:
+    bound = math.inf if max_abs_eigenvalue is None else max_abs_eigenvalue
+    pool = np.flatnonzero(np.abs(basis.mode_eigenvalues) <= bound)
+    if not pool.size:
         raise SolverError("no modes available for sampling")
-    chosen = rng.choice(len(pool), size=min(n_modes, len(pool)), replace=False)
+    chosen = rng.choice(pool.size, size=min(n_modes, pool.size), replace=False)
     out = {}
-    for idx in np.atleast_1d(chosen):
-        m = pool[int(idx)]
+    for pos in pool[np.atleast_1d(chosen)].tolist():
+        lam = float(basis.mode_eigenvalues[pos])
         profs = []
-        for _ in range(m.fiber_dim):
+        for _ in range(int(basis.mode_fibers[pos])):
             terms = []
             for _ in range(n_terms):
                 c = complex(rng.standard_normal(), rng.standard_normal())
@@ -716,9 +712,9 @@ def random_cylinder_section(
                 mu = complex(rng.standard_normal(), rng.standard_normal())
                 # keep exponents well away from the resonance -lambda, where the
                 # closed-form particular solution is ill-conditioned
-                if abs(mu + m.eigenvalue) < 0.1:
+                if abs(mu + lam) < 0.1:
                     mu += 0.2
                 terms.append((c, p, mu))
             profs.append(Profile.from_terms(terms, 0.0, rho))
-        out[m.mode_id] = profs
+        out[int(basis.mode_ids[pos])] = profs
     return CylinderSection(basis, rho, out)

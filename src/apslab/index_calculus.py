@@ -118,13 +118,12 @@ def _doubling_counts(P: CylinderProblem, b2: EigenmodeBasis) -> tuple:
     raises CertificateError.
     """
     b = P.basis
-    order = np.argsort(b2.mode_ids)
-    at = order[np.minimum(np.searchsorted(b2.mode_ids, b.mode_ids, sorter=order), order.size - 1)]
-    fiber, fiber2 = (np.diff(x.mode_offsets, append=x.total_dim) for x in (b, b2))
+    ids2, order = b2._id_order
+    at = order[np.minimum(np.searchsorted(ids2, b.mode_ids), order.size - 1)]
     moved = (
         (b2.mode_ids[at] != b.mode_ids)
-        | (b2.coord_eigenvalue[b2.mode_offsets[at]] != b.coord_eigenvalue[b.mode_offsets])
-        | (fiber2[at] != fiber)
+        | (b2.mode_eigenvalues[at] != b.mode_eigenvalues)
+        | (b2.mode_fibers[at] != b.mode_fibers)
     )
     if moved.any():
         raise CertificateError(
@@ -198,9 +197,8 @@ def aps_shift_check(P: CylinderProblem, a: float, b: float) -> dict:
         raise ValueError("aps_shift_check needs a <= b")
     ia = index(_with_left(P, make_generalized_aps(P.basis, a)))
     ib = index(_with_left(P, make_generalized_aps(P.basis, b)))
-    shift = sum(
-        m.fiber_dim for m in P.basis.modes if a <= m.eigenvalue < b
-    )
+    lam = P.basis.mode_eigenvalues
+    shift = int(P.basis.mode_fibers[(a <= lam) & (lam < b)].sum())
     return {
         "index_a": ia.index,
         "index_b": ib.index,

@@ -17,7 +17,6 @@ import io
 import json
 import math
 import numbers
-import os
 import sys
 import time
 from typing import Callable, NamedTuple, Optional
@@ -48,6 +47,8 @@ from .cylinder_solver import (
     solve_bvp,
 )
 from . import index_calculus as ic
+
+DEFAULT_TRUNCATION = 8  # lattice size N when neither --truncation nor the scenario sets one
 
 CSV_HEADER = (
     "scenario_id",
@@ -249,7 +250,7 @@ def _build_basis(spectrum: dict, truncation: Optional[int]) -> EigenmodeBasis:
             for m in spectrum["modes"]
         ]
         return EigenmodeBasis(modes, spectrum.get("band_limit", 0.0))
-    n = truncation or spectrum.get("n") or default_truncation()
+    n = truncation or spectrum.get("n") or DEFAULT_TRUNCATION
     return EigenmodeBasis.lattice(
         int(n),
         shift=spectrum.get("shift", 0.0),
@@ -667,13 +668,6 @@ def emit(reports: list, fmt: str) -> bytes:
             )
         return ("\n".join(lines) + "\n").encode()
     raise ScenarioError(f"unknown format {fmt!r}")
-
-
-def default_truncation() -> int:
-    try:
-        return max(1, int(os.environ.get("APSLAB_DEFAULT_N", "8")))
-    except ValueError:
-        return 8
 
 
 def run_all(scenarios: list, jobs: int = 1) -> list:

@@ -9,8 +9,9 @@ section support; there is no quadrature anywhere in this module.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -76,64 +77,103 @@ class EigenmodeBasis:
     truncation; it says what the spectrum adds at 2N, and it is what makes
     truncation certificates possible.
 
-    Dense vectors over the basis list the fibers of ``modes`` one after the
-    other.  Two read-only arrays of length ``total_dim``, built once per basis,
-    describe those coordinates: ``coord_mode[i]`` is the position in ``modes``
-    of the mode that coordinate i belongs to, and ``coord_eigenvalue[i]`` is
-    that mode's eigenvalue.  Two more, one entry per mode in the order of
-    ``modes``, hold ``mode_ids`` and ``mode_offsets``.  Dense-vector code uses
-    them instead of walking the modes.
+    The spectrum is held as read-only per-mode arrays, sorted by (component,
+    eigenvalue, id): ``mode_ids``, ``mode_components``, ``mode_eigenvalues``,
+    ``mode_fibers`` and ``mode_offsets``.  ``modes`` may be ``Mode`` records or
+    the tuple (ids, components, eigenvalues, fibers) of such arrays in any mode
+    order.  Dense vectors over the basis list the fibers of the modes one after
+    the other; ``coord_mode[i]`` is the position of the mode that coordinate i
+    belongs to, and ``coord_eigenvalue[i]`` that mode's eigenvalue.  The
+    ``modes`` property builds the ``Mode`` records on first use, for callers
+    that want them; nothing in this package reads it.
     """
 
     def __init__(
         self,
-        modes: Iterable[Mode],
+        modes: Union[Iterable[Mode], tuple],
         band_limit: float,
         pairings: Optional[dict] = None,
         extend_fn: Optional[Callable[[int], "EigenmodeBasis"]] = None,
     ):
-        modes = sorted(modes, key=lambda m: (m.component_id, m.eigenvalue, m.mode_id))
+        if not (isinstance(modes, tuple) and modes and isinstance(modes[0], np.ndarray)):
+            modes = [(m.mode_id, m.component_id, m.eigenvalue, m.fiber_dim) for m in modes]
+            modes = list(zip(*modes))
         if not modes:
             raise ValueError("basis must contain at least one mode")
-        ids = [m.mode_id for m in modes]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+        ids, comps, eig, fibers = modes
+        ids, comps = np.asarray(ids), np.asarray(comps, dtype=str)
+        eig, fibers = np.asarray(eig, dtype=float), np.asarray(fibers)
+        if np.any(fibers < 1):
+            raise ValueError("fiber_dim must be a positive integer")
+        if not np.all(np.isfinite(eig)):
+            raise ValueError("eigenvalue must be finite")
+        order = np.lexsort((ids, eig, comps))
+        by_id = np.sort(ids)
+        dup = by_id[1:][by_id[1:] == by_id[:-1]]
+        if dup.size:
             raise ValueError(f"duplicate mode_id: {dup[0]}")
-        self.modes = tuple(modes)
         self.band_limit = float(band_limit)
-        self.lambda_max = max(abs(m.eigenvalue) for m in modes)
+        self.lambda_max = float(np.max(np.abs(eig)))
         if not (0.0 <= self.band_limit < self.lambda_max):
             raise ValueError("band_limit must satisfy 0 <= band_limit < lambda_max")
         self.pairings = dict(pairings) if pairings else None
         self._extend_fn = extend_fn
-        self._by_id = {m.mode_id: m for m in self.modes}
-        offsets = {}
-        pos = 0
-        for m in self.modes:
-            offsets[m.mode_id] = pos
-            pos += m.fiber_dim
-        self._offsets = offsets
-        self.total_dim = pos
-        fibers = [m.fiber_dim for m in self.modes]
-        self.coord_mode = np.repeat(np.arange(len(self.modes)), fibers)
-        self.coord_eigenvalue = np.repeat([float(m.eigenvalue) for m in self.modes], fibers)
-        self.mode_ids = np.array(ids)
-        self.mode_offsets = np.array(list(offsets.values()), dtype=int)
-        for arr in (self.coord_mode, self.coord_eigenvalue, self.mode_ids, self.mode_offsets):
+        self.mode_ids = ids[order]
+        self.mode_components = comps[order]
+        self.mode_eigenvalues = eig[order]
+        self.mode_fibers = fibers[order]
+        ends = np.cumsum(self.mode_fibers)
+        self.total_dim = int(ends[-1])
+        self.mode_offsets = ends - self.mode_fibers
+        self.coord_mode = np.repeat(np.arange(order.size), self.mode_fibers)
+        self.coord_eigenvalue = np.repeat(self.mode_eigenvalues, self.mode_fibers)
+        for arr in (self.mode_ids, self.mode_components, self.mode_eigenvalues, self.mode_fibers,
+                    self.mode_offsets, self.coord_mode, self.coord_eigenvalue):
             arr.flags.writeable = False
-        self.components = tuple(sorted({m.component_id for m in self.modes}))
+
+    @functools.cached_property
+    def modes(self) -> tuple:
+        """The ``Mode`` records of the basis, in basis order."""
+        return tuple(
+            map(Mode, self.mode_ids.tolist(), self.mode_components.tolist(),
+                self.mode_eigenvalues.tolist(), self.mode_fibers.tolist())
+        )
+
+    @functools.cached_property
+    def _id_order(self) -> tuple:
+        """(ids, positions): the mode ids in increasing order, and their positions."""
+        order = np.argsort(self.mode_ids, kind="stable")
+        return self.mode_ids[order], order
+
+    def _positions(self, mode_ids) -> np.ndarray:
+        """The positions of ``mode_ids`` in the basis; KeyError names the first missing id."""
+        ids, order = self._id_order
+        want = np.asarray(mode_ids).reshape(-1)
+        at = np.minimum(np.searchsorted(ids, want), ids.size - 1)
+        missing = ids[at] != want
+        if missing.any():
+            raise KeyError(want[missing][0].item())
+        return order[at]
+
+    def _pos(self, mode_id: int) -> int:
+        """The position of one mode id in the basis; KeyError if it is missing."""
+        ids, order = self._id_order
+        i = ids.searchsorted(mode_id)
+        if i < ids.size and ids[i] == mode_id:
+            return order[i]
+        raise KeyError(mode_id)
 
     def __contains__(self, mode_id: int) -> bool:
-        return mode_id in self._by_id
+        return bool(np.any(self.mode_ids == mode_id))
 
     def eigenvalue(self, mode_id: int) -> float:
-        return self._by_id[mode_id].eigenvalue
+        return float(self.mode_eigenvalues[self._pos(mode_id)])
 
     def fiber_dim(self, mode_id: int) -> int:
-        return self._by_id[mode_id].fiber_dim
+        return int(self.mode_fibers[self._pos(mode_id)])
 
     def offset(self, mode_id: int) -> int:
-        return self._offsets[mode_id]
+        return int(self.mode_offsets[self._pos(mode_id)])
 
     def same_modes(self, other: "EigenmodeBasis") -> bool:
         """True if the two bases share the same mode lattice (ids and fiber dims).
@@ -142,30 +182,29 @@ class EigenmodeBasis:
         """
         if other is self:
             return True
-        if len(self.modes) != len(other.modes):
+        if self.mode_ids.size != other.mode_ids.size:
             return False
-        return all(
-            m.mode_id in other._by_id and other._by_id[m.mode_id].fiber_dim == m.fiber_dim
-            for m in self.modes
+        (ids, p), (other_ids, q) = self._id_order, other._id_order
+        return np.array_equal(ids, other_ids) and np.array_equal(
+            self.mode_fibers[p], other.mode_fibers[q]
         )
 
     def negated(self) -> "EigenmodeBasis":
         """The same mode lattice with all eigenvalues negated (adapted operator -A)."""
-        modes = [Mode(m.mode_id, m.component_id, -m.eigenvalue, m.fiber_dim) for m in self.modes]
         parent = self
 
         def extend(factor: int) -> "EigenmodeBasis":
             return parent.extended(factor).negated()
 
         ext = extend if self._extend_fn is not None else None
-        return EigenmodeBasis(modes, self.band_limit, pairings=self.pairings, extend_fn=ext)
+        spectrum = (self.mode_ids, self.mode_components, -self.mode_eigenvalues, self.mode_fibers)
+        return EigenmodeBasis(spectrum, self.band_limit, pairings=self.pairings, extend_fn=ext)
 
     def with_eigenvalues(self, eig: dict) -> "EigenmodeBasis":
         """Replace eigenvalues mode-by-mode (no extension support)."""
-        modes = [
-            Mode(m.mode_id, m.component_id, float(eig[m.mode_id]), m.fiber_dim) for m in self.modes
-        ]
-        return EigenmodeBasis(modes, self.band_limit, pairings=self.pairings)
+        lam = np.array([eig[j] for j in self.mode_ids.tolist()], dtype=float)
+        spectrum = (self.mode_ids, self.mode_components, lam, self.mode_fibers)
+        return EigenmodeBasis(spectrum, self.band_limit, pairings=self.pairings)
 
     def extended(self, factor: int = 2) -> "EigenmodeBasis":
         """Regenerate the basis at ``factor`` times the truncation parameter."""
@@ -181,8 +220,8 @@ class EigenmodeBasis:
         under basis extension as long as extension does not insert eigenvalues
         into the gap — true for all lattice families used here.
         """
-        above = [m.eigenvalue for m in self.modes if m.eigenvalue > x]
-        return 0.5 * (x + min(above)) if above else x + 1.0
+        above = self.mode_eigenvalues[self.mode_eigenvalues > x]
+        return 0.5 * (x + float(above.min())) if above.size else x + 1.0
 
     @staticmethod
     def lattice(
@@ -198,22 +237,17 @@ class EigenmodeBasis:
             raise ValueError("lattice size must be >= 1")
         if spacing <= 0:
             raise ValueError("spacing must be positive")
-        modes = [
-            Mode(
-                mode_id=j,
-                component_id=component_id,
-                eigenvalue=spacing * j + shift,
-                fiber_dim=fiber_dim,
-            )
-            for j in range(-n, n + 1)
-        ]
+        ids = np.arange(-n, n + 1)
 
         def extend(factor: int) -> "EigenmodeBasis":
             return EigenmodeBasis.lattice(
                 n * factor, shift, fiber_dim, band_limit, component_id, spacing
             )
 
-        return EigenmodeBasis(modes, band_limit, extend_fn=extend)
+        spectrum = (
+            ids, np.full(ids.size, component_id), spacing * ids + shift, np.full(ids.size, fiber_dim)
+        )
+        return EigenmodeBasis(spectrum, band_limit, extend_fn=extend)
 
     def doubled(self) -> "EigenmodeBasis":
         """Two-copy doubling with eigenvalues negated on the second copy.
@@ -221,25 +255,22 @@ class EigenmodeBasis:
         Copy-1 mode ids are 2*id, copy-2 ids are 2*id + 1; ``pairings`` records
         the copy1 <-> copy2 involution used by transmission conditions.
         """
-        modes = []
-        pairings = {}
-        for m in self.modes:
-            i1, i2 = 2 * m.mode_id, 2 * m.mode_id + 1
-            modes.append(
-                Mode(i1, m.component_id + ".copy1", m.eigenvalue, m.fiber_dim)
-            )
-            modes.append(
-                Mode(i2, m.component_id + ".copy2", -m.eigenvalue, m.fiber_dim)
-            )
-            pairings[i1] = i2
-            pairings[i2] = i1
+        ids = np.column_stack([2 * self.mode_ids, 2 * self.mode_ids + 1]).ravel()
+        pairings = dict(zip(ids.tolist(), (ids ^ 1).tolist()))  # the two copies differ in bit 0
         parent = self
 
         def extend(factor: int) -> "EigenmodeBasis":
             return parent.extended(factor).doubled()
 
         ext = extend if self._extend_fn is not None else None
-        return EigenmodeBasis(modes, self.band_limit, pairings=pairings, extend_fn=ext)
+        copy = np.tile([".copy1", ".copy2"], self.mode_ids.size)
+        spectrum = (
+            ids,
+            np.char.add(self.mode_components.repeat(2), copy),
+            np.column_stack([self.mode_eigenvalues, -self.mode_eigenvalues]).ravel(),
+            self.mode_fibers.repeat(2),
+        )
+        return EigenmodeBasis(spectrum, self.band_limit, pairings=pairings, extend_fn=ext)
 
 
 class BoundarySection:
@@ -250,10 +281,12 @@ class BoundarySection:
         self.coeffs = {}
         if coeffs:
             for mode_id, vec in coeffs.items():
-                if mode_id not in basis:
-                    raise BasisMismatchError(f"mode_id {mode_id} not in basis")
+                try:
+                    k = basis.mode_fibers[basis._pos(mode_id)]
+                except KeyError:
+                    raise BasisMismatchError(f"mode_id {mode_id} not in basis") from None
                 arr = np.asarray(vec, dtype=complex).reshape(-1)
-                if arr.shape[0] != basis.fiber_dim(mode_id):
+                if arr.shape[0] != k:
                     raise BasisMismatchError(
                         f"coefficient length {arr.shape[0]} != fiber_dim for mode {mode_id}"
                     )
@@ -311,10 +344,12 @@ class BoundarySection:
         vec = np.asarray(vec, dtype=complex)[: basis.total_dim]
         coeffs = {}
         # np.unique sorts the mode positions, so the coefficients come in basis order
-        for pos in np.unique(basis.coord_mode[np.flatnonzero(vec)]).tolist():
-            m = basis.modes[pos]
-            off = basis.offset(m.mode_id)
-            coeffs[m.mode_id] = vec[off : off + m.fiber_dim]
+        pos = np.unique(basis.coord_mode[np.flatnonzero(vec)])
+        for mid, off, k in zip(
+            basis.mode_ids[pos].tolist(), basis.mode_offsets[pos].tolist(),
+            basis.mode_fibers[pos].tolist(),
+        ):
+            coeffs[mid] = vec[off : off + k]
         return BoundarySection(basis, coeffs)
 
     def on_basis(self, basis: EigenmodeBasis) -> "BoundarySection":
@@ -351,7 +386,8 @@ class SigmaZero:
         skew_unitary: bool = False,
     ):
         self.basis = basis
-        self.targets = {m.mode_id: m.mode_id for m in basis.modes}
+        ids, fibers = basis.mode_ids.tolist(), basis.mode_fibers.tolist()
+        self.targets = dict(zip(ids, ids))
         if targets:
             self.targets.update(targets)
         if sorted(self.targets) != sorted(set(self.targets.values())):
@@ -362,18 +398,18 @@ class SigmaZero:
         # one; the checks on their values then run batched over blocks of one
         # shape.  Either way the first failing mode in basis order is reported.
         pending = None
-        for m in basis.modes:
-            if m.mode_id not in blocks:
-                pending = f"missing sigma_0 block for mode {m.mode_id}"
+        fiber = dict(zip(ids, fibers))
+        for mid, k in zip(ids, fibers):
+            if mid not in blocks:
+                pending = f"missing sigma_0 block for mode {mid}"
                 break
-            S = np.asarray(blocks[m.mode_id], dtype=complex)
+            S = np.asarray(blocks[mid], dtype=complex)
             if S.ndim == 0:
                 S = S.reshape(1, 1)
-            kt = basis.fiber_dim(self.targets[m.mode_id])
-            if S.shape != (kt, m.fiber_dim):
-                pending = f"sigma_0 block shape mismatch at mode {m.mode_id}"
+            if S.shape != (fiber[self.targets[mid]], k):
+                pending = f"sigma_0 block shape mismatch at mode {mid}"
                 break
-            self.blocks[m.mode_id] = S
+            self.blocks[mid] = S
         # A non-finite block is "not conformal" at its mode.  It is zeroed before
         # the arithmetic, and every test below is written as "passes", so that
         # NaN, which fails every comparison, fails it.
@@ -396,7 +432,7 @@ class SigmaZero:
             if bad.size:
                 i = int(bad[0])
                 if not_conformal[i]:
-                    mid = basis.modes[i].mode_id
+                    mid = basis.mode_ids[i]
                     raise ValueError(f"sigma_0 block at mode {mid} is not conformal")
                 raise ValueError("sigma_0 blocks must share one conformal scale")
         if pending:
@@ -450,9 +486,10 @@ class SigmaZero:
         """
         out = object.__new__(SigmaZero)
         out.basis = basis
-        out.targets = {m.mode_id: targets[m.mode_id] for m in basis.modes}
+        ids = basis.mode_ids.tolist()
+        out.targets = {j: targets[j] for j in ids}
         out.sources = {t: s for s, t in out.targets.items()}
-        out.blocks = {m.mode_id: blocks[m.mode_id] for m in basis.modes}
+        out.blocks = {j: blocks[j] for j in ids}
         out.scale = scale
         out.skew_unitary = skew_unitary
         return out
@@ -469,20 +506,15 @@ class SigmaZero:
         value = complex(value)
         c = value.real**2 + value.imag**2
         if not (math.isfinite(c) and c > 0):
-            raise ValueError(f"sigma_0 block at mode {basis.modes[0].mode_id} is not conformal")
+            raise ValueError(f"sigma_0 block at mode {basis.mode_ids[0]} is not conformal")
         shared: dict = {}
-        for k in {m.fiber_dim for m in basis.modes}:
+        for k in np.unique(basis.mode_fibers).tolist():
             shared[k] = value * np.eye(k)
             shared[k].flags.writeable = False
-        blocks = {m.mode_id: shared[m.fiber_dim] for m in basis.modes}
+        ids = basis.mode_ids.tolist()
+        blocks = dict(zip(ids, map(shared.__getitem__, basis.mode_fibers.tolist())))
         skew = abs(c - 1.0) < IDENTITY_TOL and abs(2.0 * value.real) <= IDENTITY_TOL
-        return SigmaZero._derived(
-            basis,
-            blocks,
-            {m.mode_id: m.mode_id for m in basis.modes},
-            abs(value),
-            skew,
-        )
+        return SigmaZero._derived(basis, blocks, dict(zip(ids, ids)), abs(value), skew)
 
     def tau(self, mode_id: int) -> int:
         return self.targets[mode_id]
@@ -529,10 +561,9 @@ class SigmaZero:
 
     def eigen_negating(self) -> bool:
         """True if tau sends each mode to one with the negated eigenvalue."""
-        return all(
-            abs(self.basis.eigenvalue(self.tau(j)) + self.basis.eigenvalue(j)) <= IDENTITY_TOL
-            for j in self.targets
-        )
+        b, lam = self.basis, self.basis.mode_eigenvalues
+        j, t = b._positions(list(self.targets)), b._positions(list(self.targets.values()))
+        return bool(np.all(np.abs(lam[t] + lam[j]) <= IDENTITY_TOL))
 
     def adjoint_basis(self) -> EigenmodeBasis:
         """The eigenmode basis of the adapted operator on the adjoint side.
@@ -540,8 +571,9 @@ class SigmaZero:
         A-tilde = -(sigma_0^*)^{-1} A sigma_0^* is mode-diagonal with eigenvalue
         -lambda_{tau^{-1}(m)} on mode m.
         """
-        eig = {m: -self.basis.eigenvalue(self.tau_inv(m)) for m in self.targets}
-        return self.basis.with_eigenvalues(eig)
+        b = self.basis
+        lam = -b.mode_eigenvalues[b._positions(list(self.sources.values()))]
+        return b.with_eigenvalues(dict(zip(self.sources, lam.tolist())))
 
     def adjoint_sigma(self) -> "SigmaZero":
         """-sigma_0^*, the boundary symbol of the adjoint model operator."""
@@ -552,6 +584,8 @@ class SigmaZero:
 
     def on_basis(self, basis: EigenmodeBasis) -> "SigmaZero":
         """The same coefficient-level map, reinterpreted over another lattice-equal basis."""
+        if basis is self.basis:
+            return self
         if not self.basis.same_modes(basis):
             raise BasisMismatchError("sigma_0 cannot move to a different mode lattice")
         return SigmaZero._derived(basis, self.blocks, self.targets, self.scale, self.skew_unitary)
@@ -618,19 +652,15 @@ def random_section(
     n_modes: int = 6,
 ) -> BoundarySection:
     """A seeded random finite section, optionally band-restricted."""
-    pool = [
-        m
-        for m in basis.modes
-        if max_abs_eigenvalue is None or abs(m.eigenvalue) <= max_abs_eigenvalue
-    ]
-    if not pool:
+    bound = math.inf if max_abs_eigenvalue is None else max_abs_eigenvalue
+    pool = np.flatnonzero(np.abs(basis.mode_eigenvalues) <= bound)
+    if not pool.size:
         raise ValueError("no modes available for sampling")
-    chosen = rng.choice(len(pool), size=min(n_modes, len(pool)), replace=False)
+    chosen = rng.choice(pool.size, size=min(n_modes, pool.size), replace=False)
     coeffs = {}
-    for idx in np.atleast_1d(chosen):
-        m = pool[int(idx)]
-        vec = rng.standard_normal(m.fiber_dim) + 1j * rng.standard_normal(m.fiber_dim)
-        coeffs[m.mode_id] = vec
+    for pos in pool[np.atleast_1d(chosen)].tolist():
+        k = int(basis.mode_fibers[pos])
+        coeffs[int(basis.mode_ids[pos])] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     return BoundarySection(basis, coeffs)
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from apslab.boundary_conditions import BoundaryCondition
+from dense_oracle import mode_map_dense
 from apslab.cylinder_solver import CylinderProblem, _shared_cut, adjoint_problem
 from apslab.spectral_core import EigenmodeBasis
 
@@ -34,7 +35,7 @@ def _condition_generators(cond: BoundaryCondition, touched: list) -> list:
     that are supported on the touched modes, as dense vectors over cond.basis."""
     b = cond.basis
     W = cond.w_all()
-    Gd = cond.g.dense() if not cond.g.is_zero() else None
+    Gd = mode_map_dense(cond.g) if not cond.g.is_zero() else None
     gens = []
     for mid in touched:
         if b.eigenvalue(mid) < cond.cut:

@@ -12,13 +12,15 @@ the shared cut.  The whole constraint matrix M, solved by
 and ``unitary_part``, sigma_0 / scale as a dense matrix, the reference for the
 cokernel sections.  It also keeps the dense route of the Fredholm pair index:
 the rank of the two spans' full columns side by side, at RANK_THRESHOLD times
-its largest singular value.
+its largest singular value.  And it keeps the closed-form dense projector
+onto a condition, through (1 + g* g)^{-1}, with the membership test built on
+it: the program's ``project`` and ``membership`` read the span instead.
 """
 
 import numpy as np
 from scipy import linalg as sla
 
-from apslab.boundary_conditions import RANK_TOL, _mode_positions
+from apslab.boundary_conditions import MEMBERSHIP_TOL, RANK_TOL, _mode_positions
 from apslab.cylinder_solver import (
     RANK_THRESHOLD,
     CylinderProblem,
@@ -84,6 +86,50 @@ def svd(M, vectors=False):
     if block.size:
         vh[lone.size :, block] = vhb
     return s, vh[order]
+
+
+def mode_map_dense(g):
+    """The ModeMap g as a dense total_dim x total_dim matrix."""
+    basis = g.basis
+    G = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for (tgt, src), block in g.entries.items():
+        ot, os = basis.offset(tgt), basis.offset(src)
+        G[ot : ot + block.shape[0], os : os + block.shape[1]] = block
+    return G
+
+
+def graph_projector_apply(B, x):
+    """Orthogonal projection onto graph(g) inside V_- (+) V_+, in closed form.
+
+    Given the V-components x_- and x_+ of x, the projection is (v, g v)
+    with v = (1 + g* g)^{-1} (x_- + g* x_+).
+    """
+    lower = B._side_mask(lower=True)
+    W = B.w_all()
+    xv = x - W @ (W.conj().T @ x) if W.size else x.copy()
+    xm = np.where(lower, xv, 0)
+    xp = np.where(~lower, xv, 0)
+    G = mode_map_dense(B.g)
+    rhs = xm + G.conj().T @ xp
+    v = np.linalg.solve(np.eye(x.shape[0]) + G.conj().T @ G, rhs)
+    return v + G @ v
+
+
+def project(B, x):
+    """Orthogonal projection onto B = W_plus (+) graph(g), in closed form."""
+    out = graph_projector_apply(B, x)
+    if B.w_plus.size:
+        out = out + B.w_plus @ (B.w_plus.conj().T @ x)
+    return out
+
+
+def membership(B, phi, tol=MEMBERSHIP_TOL):
+    """True when phi lies in B = W_plus (+) graph(g), by the closed-form projector."""
+    x = phi.on_basis(B.basis).to_dense()
+    nrm = float(np.linalg.norm(x))
+    if nrm == 0.0:
+        return True
+    return float(np.linalg.norm(x - project(B, x))) <= tol * nrm
 
 
 def side_columns(B, lower):

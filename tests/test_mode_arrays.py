@@ -60,7 +60,7 @@ def reference_span(B, perp):
     D = B.basis.total_dim
     side = reference_side_mask(B, lower=not perp)
     W = B.w_all()
-    G = B.g.dense() if not B.g.is_zero() else None
+    G = dense_oracle.mode_map_dense(B.g) if not B.g.is_zero() else None
     cols = []
     eye = np.eye(D, dtype=complex)
     for i in np.nonzero(side)[0]:
@@ -276,6 +276,20 @@ def test_span_matrices_give_the_reference_projector(name, perp):
         other = B.perp_span_matrix().dense()
         assert got.shape[1] + other.shape[1] == B.basis.total_dim
         assert np.max(np.abs(got.conj().T @ other), initial=0.0) <= PROJECTOR_TOL
+
+
+@pytest.mark.parametrize("name", sorted(CONDITIONS))
+def test_span_projector_matches_the_closed_form(name):
+    # project() reads span_matrix(); the oracle solves with (1 + g* g)
+    B = CONDITIONS[name]
+    rng = np.random.default_rng(len(name))
+    D = B.basis.total_dim
+    for x in (rng.standard_normal(D) + 1j * rng.standard_normal(D), np.eye(D)[0]):
+        want = dense_oracle.project(B, x)
+        assert np.max(np.abs(B.project(x) - want)) <= PROJECTOR_TOL * max(1.0, np.linalg.norm(x))
+        for v in (want, x):
+            phi = BoundarySection.from_dense(B.basis, v)
+            assert B.membership(phi) == dense_oracle.membership(B, phi)
 
 
 # -- SigmaZero validation -------------------------------------------------------------

@@ -502,11 +502,12 @@ class TestCli:
         assert doc[1]["pass"] is True
 
     def test_default_truncation_env(self, tmp_path, capsys, monkeypatch):
+        # the environment does not set the lattice size: the default is N = 8
         monkeypatch.setenv("APSLAB_DEFAULT_N", "4")
         path = self.write(tmp_path, {"kind": "index", "payload": REFERENCE_PROBLEM})
         assert main(["--scenario", path]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc[0]["outputs"]["certificate"]["N_used"] == 9  # 2*4 + 1 modes
+        assert doc[0]["outputs"]["certificate"]["N_used"] == 17  # 2*8 + 1 modes
 
 
 class TestEnergyTolerance:

@@ -248,10 +248,11 @@ def test_sections_match_the_dense_oracle(name, rho):
 
 
 def nested_by_membership(B1, B2):
-    """The dense route: every column of span(B1) is a member of B2."""
+    """The dense route: every column of span(B1) is a member of B2, by the
+    oracle's closed-form projector."""
     S = B1.span_matrix().dense()
     return all(
-        B2.membership(BoundarySection.from_dense(B1.basis, S[:, i]).on_basis(B2.basis))
+        dense_oracle.membership(B2, BoundarySection.from_dense(B1.basis, S[:, i]))
         for i in range(S.shape[1])
     )
 
