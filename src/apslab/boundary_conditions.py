@@ -29,6 +29,7 @@ from .spectral_core import (
     EigenmodeBasis,
     Interval,
     SigmaZero,
+    _stacks_by_shape,
     l2_pairing,
 )
 
@@ -126,47 +127,124 @@ class ModeMap:
         return ModeMap(basis, self.entries, self.tag)
 
 
-def _coupled_block(M: np.ndarray) -> tuple:
-    """(cols, rows): masks of the columns of M that share a nonzero row with
-    another column, and of the rows those columns touch.
+SPLIT_CELLS = 2048  # a coupled part of at most this many cells is factored whole
 
-    Every other column is alone on its nonzero rows, so it is orthogonal to
-    all the rest and factors on its own, in closed form.  The split is read
-    from the sparsity pattern only, never from the values, so problems of one
+
+def _components(nz: np.ndarray) -> np.ndarray:
+    """The coupling components of the columns of a matrix whose nonzero pattern
+    is ``nz``: per column, the smallest column index in its component.
+
+    Two columns are coupled when they share a nonzero row, and a component is
+    closed under coupling; a column alone on its rows, or zero, is a component
+    of its own.  Columns of different components are orthogonal and meet
+    disjoint rows, so a matrix factors component by component.  The labels
+    are read from the pattern only, never from the values, so problems of one
     shape take the same factorizations whatever their data.
+
+    Min-label propagation over the nonzeros, sorted once by column: each pass
+    gives every column the smallest label on its rows, then jumps each label
+    to that column's label, so a chain of columns takes O(log length) passes;
+    it ends when every row holds one label.
     """
-    nz = M != 0
-    cols = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
-    return cols, nz[:, cols].any(axis=1)
+    per_row, per_col = np.count_nonzero(nz, axis=1), np.count_nonzero(nz, axis=0)
+    label = np.arange(nz.shape[1])
+    c = np.nonzero(nz)[1]  # by row, then column
+    if not c.size:
+        return label
+    starts, lengths = (np.cumsum(per_row) - per_row)[per_row > 0], per_row[per_row > 0]
+    by_col, col_starts = np.argsort(c, kind="stable"), (np.cumsum(per_col) - per_col)[per_col > 0]
+    cols = np.flatnonzero(per_col)
+    rmin = np.minimum.reduceat(label[c], starts)
+    while True:
+        label = label.copy()
+        label[cols] = np.minimum.reduceat(np.repeat(rmin, lengths)[by_col], col_starts)
+        label = label[label]
+        on_rows = label[c]
+        rmin = np.minimum.reduceat(on_rows, starts)
+        if np.array_equal(rmin, np.maximum.reduceat(on_rows, starts)):
+            return label  # every row holds one label, so every component does
+
+
+def _split(nz: np.ndarray) -> tuple:
+    """(lone, rows, cols): the columns of a matrix whose nonzero pattern is
+    ``nz`` that are alone on their rows, and the blocks that the others form.
+
+    ``lone`` lists, in order, the columns that share no nonzero row with
+    another column: each is a coupling component (``_components``) on its own.
+    Row j of the (k, r) array ``rows`` and of the (k, c) array ``cols`` lists,
+    in order, the rows and the columns of the j-th block, and a shorter list is
+    padded with the pattern's row or column count.  Every block is a union of
+    components, so M is block diagonal up to order.  A coupled part of at most
+    SPLIT_CELLS cells is one block: one LAPACK call on it costs less than
+    labelling and separating its components.  A larger one gives one block
+    per component, in the order of their first columns.
+    """
+    m, n = nz.shape
+    coupled = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
+    lone, cols = np.flatnonzero(~coupled), np.flatnonzero(coupled)
+    rows = np.flatnonzero(nz[:, coupled].any(axis=1))
+    if rows.size * cols.size <= SPLIT_CELLS:
+        k = min(cols.size, 1)
+        return lone, rows[None, :][:k], cols[None, :][:k]
+    label = _components(nz)
+    roots = cols[label[cols] == cols]
+    comp = np.zeros(n, dtype=int)
+    comp[roots] = np.arange(roots.size)
+    out = []
+    at_rows = comp[label[nz[rows].argmax(axis=1)]]  # a row's component is its columns'
+    for at, of, count in ((rows, at_rows, m), (cols, comp[label[cols]], n)):
+        order = np.argsort(of, kind="stable")
+        width = np.bincount(of, minlength=roots.size)
+        place = np.full((roots.size, width.max()), count)
+        rank = np.arange(of.size) - np.repeat(np.cumsum(width) - width, width)
+        place[of[order], rank] = at[order]
+        out.append(place)
+    return lone, *out
+
+
+def _stack(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The components ``rows`` and ``cols`` of ``_split`` cut out of M as one
+    (k, r, c) stack; padding reads zeros.  Zero rows and columns add only zero
+    singular values and leave the others, and their vectors, in place."""
+    m, n = M.shape
+    r, c = rows[:, :, None], cols[:, None, :]
+    return np.where((r < m) & (c < n), M[np.minimum(r, m - 1), np.minimum(c, n - 1)], 0)
 
 
 def _orthonormalize(M: np.ndarray, units: bool = False, tol: float = RANK_TOL) -> tuple:
     """(q, floor): orthonormal columns spanning the columns of M.
 
-    A column alone on its rows is normalized as it stands; the coupled block
-    goes through a pivoted QR restricted to the rows it touches.  With
-    ``units``, implied unit columns on rows outside M take part, each alone on
-    its row with norm 1.0.  A column is kept when its norm, or its diagonal
-    entry of R, exceeds ``floor``: ``tol`` times the largest column norm, the
-    first diagonal entry of a pivoted QR of all of them.  q holds the kept lone
-    columns first, in input order, then the QR columns, with entries below
+    A column alone on its rows is normalized as it stands; each block of the
+    others (``_split``: a coupling component, or the whole coupled part when
+    it is small) goes through a pivoted QR on its own rows and columns, which,
+    M being block diagonal up to order, gives the diagonal of R that one
+    pivoted QR of all of them gives.  With ``units``, implied unit
+    columns on rows outside M take part, each alone on its row with norm 1.0.
+    A column is kept when its norm, or its diagonal entry of R, exceeds
+    ``floor``: ``tol`` times the largest column norm, the first diagonal entry
+    of a pivoted QR of all of them.  q holds the kept lone columns first, in
+    input order, then the QR columns block by block, with entries below
     1e-14 chopped so that sparse mode support survives exactly.
     """
-    cols, brows = _coupled_block(M)
-    lone = (~cols).nonzero()[0]
+    m, n = M.shape
+    lone, rows, cols = _split(M != 0)
     norms = np.linalg.norm(M[:, lone], axis=0)
-    diag = np.zeros(0)
-    if cols.any():
-        qb, r, _ = sla.qr(M[np.ix_(brows, cols)], mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-    floor = tol * max(norms.max(initial=0.0), diag.max(initial=0.0), float(units), 1e-300)
+    blocks = []
+    for r, c in zip(rows, cols):
+        r, c = r[r < m], c[c < n]
+        qb, rb, _ = sla.qr(M[np.ix_(r, c)], mode="economic", pivoting=True)
+        blocks.append((r, qb, np.abs(np.diag(rb))))
+    top = max([norms.max(initial=0.0), float(units), 1e-300] + [d.max() for *_, d in blocks])
+    floor = tol * top
     keep = norms > floor
     lone = lone[keep]
-    rank = int(np.sum(diag > floor))
-    q = np.zeros((M.shape[0], lone.size + rank), dtype=complex)
+    ranks = [int(np.sum(d > floor)) for *_, d in blocks]
+    q = np.zeros((m, lone.size + sum(ranks)), dtype=complex)
     q[:, : lone.size] = M[:, lone] / norms[keep]
-    if rank:
-        q[brows, lone.size :] = qb[:, :rank]
+    at = lone.size
+    for (r, qb, _), rank in zip(blocks, ranks):
+        q[r, at : at + rank] = qb[:, :rank]
+        at += rank
     q[np.abs(q) < 1e-14] = 0
     return q, floor
 
@@ -331,40 +409,57 @@ class BoundaryCondition:
     def dim_w_minus(self) -> int:
         return self.w_minus.shape[1] if self.w_minus.size else 0
 
-    def _w_side_dim(self, W: np.ndarray, lower: bool) -> int:
-        if not W.size:
-            return 0
-        mask = self._side_mask(lower)
-        return int(sum(np.linalg.norm(W[mask, i]) > 0.5 for i in range(W.shape[1])))
+    def _w_side_dim(self, cols: slice, lower: bool) -> int:
+        """The number of the W_plus (+) W_minus columns ``cols`` that lie on one
+        side of the cut, read on the rows that W touches."""
+        rows, _, W = self._touched
+        side = (self.basis.coord_eigenvalue[rows] < self.cut) == lower
+        return int(np.count_nonzero(np.linalg.norm(W[side, cols], axis=0) > 0.5))
 
     def w_plus_upper_dim(self) -> int:
-        return self._w_side_dim(self.w_plus, lower=False)
+        return self._w_side_dim(slice(0, self.dim_w_plus()), lower=False)
 
     def w_minus_lower_dim(self) -> int:
-        return self._w_side_dim(self.w_minus, lower=True)
+        return self._w_side_dim(slice(self.dim_w_plus(), None), lower=True)
 
     def span_matrix(self) -> Span:
         """Orthonormal columns spanning B within the truncated trace space."""
-        return self._span(lower=True)
+        return self._lower_span
 
     def perp_span_matrix(self) -> Span:
         """Orthonormal columns spanning the L^2-orthocomplement W_minus (+) {u - g* u}."""
+        return self._upper_span
+
+    # A condition is not changed after __init__, so each span is built once,
+    # with read-only arrays, whatever number of problems and pairs read it.
+    @functools.cached_property
+    def _lower_span(self) -> Span:
+        return self._span(lower=True)
+
+    @functools.cached_property
+    def _upper_span(self) -> Span:
         return self._span(lower=False)
 
     @functools.cached_property
     def _touched(self) -> tuple:
-        """(rows, at, W): the coordinates that a W vector or a g entry touches,
-        the positions in ``rows`` of the first coordinates of each g entry's
-        (target, source) modes, and W_plus (+) W_minus on the rows.  Both spans
-        are built on these rows."""
+        """(rows, g, W): the coordinates that a W vector or a g entry touches;
+        the g entries grouped by block shape, as (blocks, target rows, source
+        rows) with the blocks stacked (k, a, b) and their rows (k, a) and (k, b)
+        given as positions in ``rows``; and W_plus (+) W_minus on the rows.
+        Both spans are built on these rows."""
         basis = self.basis
         W = self.w_all()
         pos = basis._positions(list(self.g.entries))
         in_g = np.zeros(basis.mode_ids.size, dtype=bool)
         in_g[pos] = True
         rows = (np.any(W != 0, axis=1) | in_g[basis.coord_mode]).nonzero()[0]
-        at = np.searchsorted(rows, basis.mode_offsets[pos]).reshape(-1, 2).tolist()
-        return rows, at, W[rows]
+        at = np.searchsorted(rows, basis.mode_offsets[pos]).reshape(-1, 2)
+        g = [
+            (G, *(at[i, e, None] + np.arange(k) for e, k in enumerate(G.shape[1:])))
+            for i, G in _stacks_by_shape(list(self.g.entries.values()))
+        ]
+        rows.flags.writeable = False
+        return rows, g, W[rows]
 
     def _span(self, lower: bool) -> Span:
         """``span_matrix`` (lower) or ``perp_span_matrix``, built from (cut, W, g).
@@ -372,30 +467,33 @@ class BoundaryCondition:
         Its columns orthonormalize the side columns, then W_plus (lower) or
         W_minus.  A side column is a unit vector e_j of one side of the cut with
         W_plus (+) W_minus projected out (dropped below RANK_TOL), then mapped by
-        v -> v + g v (lower) or u -> u - g* u.  A coordinate that no W vector and
-        no g entry touches keeps e_j, a unit column.  The other columns are built
-        on the touched coordinates alone, by ``_orthonormalize``, and form the
-        span's block.
+        v -> v + g v (lower) or u -> u - g* u, one stacked product per shape of
+        g block; the scatter accumulates, as a mode of a ``finite_band`` g takes
+        several entries.  A coordinate that no W vector and no g entry touches
+        keeps e_j, a unit column.  The other columns are built on the touched
+        coordinates alone, by ``_orthonormalize``, and form the span's block.
         """
         on_side = self._side_mask(lower)
-        rows, at, W = self._touched
+        rows, g, W = self._touched
         side = on_side[rows]
         touched = rows[side]
         C = np.zeros((rows.size, touched.size), dtype=complex)
         C[side.nonzero()[0], np.arange(touched.size)] = 1.0
         C -= W @ W[side].conj().T
         C = C[:, ~(np.linalg.norm(C, axis=0) < RANK_TOL)]
-        for block, (t, s) in zip(self.g.entries.values(), at):
-            if lower:
-                C[t : t + block.shape[0]] += block @ C[s : s + block.shape[1]]
+        for G, t, s in g:
+            at, v = (t, G @ C[s]) if lower else (s, -(G.conj().transpose(0, 2, 1) @ C[t]))
+            if self.g.tag == "paired_diagonal":  # one entry per mode: no repeated rows
+                C[at] += v
             else:
-                C[s : s + block.shape[1]] -= block.conj().T @ C[t : t + block.shape[0]]
+                np.add.at(C, at, v)
         family = (self.w_plus if lower else self.w_minus)[rows]
         on_side[rows] = False
         unit = on_side.nonzero()[0]
         q, floor = _orthonormalize(np.column_stack([C, family]), unit.size > 0)
         if not 1.0 > floor:  # a lone column of norm 1/RANK_TOL or more drops them
             unit = unit[:0]
+        unit.flags.writeable = q.flags.writeable = False
         return Span(self.basis.total_dim, unit, rows, q)
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -417,8 +515,8 @@ class BoundaryCondition:
         return dist <= tol * nrm
 
     def dim(self) -> int:
-        lower = int(np.sum(self._side_mask(lower=True)))
-        return lower - self._w_side_dim(self.w_all(), lower=True) + self.dim_w_plus()
+        lower = int(np.count_nonzero(self.basis.coord_eigenvalue < self.cut))
+        return lower - self._w_side_dim(slice(None), lower=True) + self.dim_w_plus()
 
     def on_basis(self, basis: EigenmodeBasis) -> "BoundaryCondition":
         """Transfer the band data unchanged to a lattice-extending basis."""
@@ -472,28 +570,29 @@ def make_chiral(basis: EigenmodeBasis, sigma0: SigmaZero, sign: int = 1) -> Boun
     entries = {(tau[i], ids[i]): sign * 1j * sigma0.blocks[ids[i]] for i in negative}
     g = ModeMap(basis, entries, "paired_diagonal")
 
-    # i sigma_0 on the kernel modes, over their coordinates in basis order
-    zero_ids, k = basis.mode_ids[lam == 0.0].tolist(), basis.mode_fibers[lam == 0.0]
-    w_plus, w_minus = [], []
-    if zero_ids:
-        pos = dict(zip(zero_ids, (np.cumsum(k) - k).tolist()))
-        Z = np.zeros((int(k.sum()),) * 2, dtype=complex)
-        for j in zero_ids:
-            t = sigma0.tau(j)
-            S = 1j * sigma0.blocks[j]
-            Z[pos[t] : pos[t] + S.shape[0], pos[j] : pos[j] + S.shape[1]] = S
-        vals, vecs = np.linalg.eigh(Z)
-        zero = np.flatnonzero(basis.coord_eigenvalue == 0.0)
-        for val, vec in zip(vals, vecs.T):
-            v = np.zeros(basis.total_dim, dtype=complex)
-            v[zero] = vec
-            sec = BoundarySection.from_dense(basis, v)
-            if abs(val - sign) < 1e-8:
-                w_plus.append(sec)
-            elif abs(val + sign) < 1e-8:
-                w_minus.append(sec)
-            else:  # pragma: no cover - i*sigma_0 is an involution
-                raise ConditionError("i*sigma_0 eigenvalue off +-1 on kernel modes")
+    # W: the +-sign eigenspaces of the involution Z = i sigma_0 on the kernel
+    # modes, one tau-orbit at a time.  On an orbit {j, t}, Z has the blocks
+    # S_j = i sigma_0|j from j to t and S_t back, with S_t S_j = 1, so
+    # (x, mu S_j x) / sqrt(2) is in the mu-eigenspace for every x of fiber j.
+    # On a mode that tau fixes, Z is its own Hermitian block; those blocks are
+    # diagonalized together, one stacked eigh per fiber dimension.
+    w = {1: [], -1: []}
+    zero = np.flatnonzero(lam == 0.0).tolist()
+    inv = 1.0 / math.sqrt(2.0)
+    for j, t in [(ids[i], tau[i]) for i in zero if ids[i] < tau[i]]:
+        S = 1j * sigma0.blocks[j]
+        for x, y in zip(np.eye(S.shape[1]), S.T):
+            for mu in (1, -1):
+                w[mu].append(BoundarySection(basis, {j: inv * x, t: mu * inv * y}))
+    fixed = [ids[i] for i in zero if ids[i] == tau[i]]
+    for pos, stack in _stacks_by_shape([1j * sigma0.blocks[j] for j in fixed]):
+        vals, vecs = np.linalg.eigh(stack)
+        if np.any(np.abs(np.abs(vals) - 1.0) >= 1e-8):  # pragma: no cover - Z is an involution
+            raise ConditionError("i*sigma_0 eigenvalue off +-1 on kernel modes")
+        for p, val, vec in zip(pos.tolist(), vals, vecs):
+            for x, v in zip(val, vec.T):
+                w[1 if x > 0 else -1].append(BoundarySection(basis, {fixed[p]: v}))
+    w_plus, w_minus = w[sign], w[-sign]
 
     return BoundaryCondition(basis, 0.0, w_plus, w_minus, g, provenance="chiral")
 

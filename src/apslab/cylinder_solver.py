@@ -27,8 +27,9 @@ from .boundary_conditions import (
     BoundaryCondition,
     Span,
     _coords_in,
-    _coupled_block,
     _mode_positions,
+    _split,
+    _stack,
     adjoint,
 )
 
@@ -329,30 +330,39 @@ def _factor(M: np.ndarray, vectors: bool = False) -> tuple:
     """(s, vh): one singular value per column of M, and with ``vectors`` a square
     vh whose row i is the right singular vector of s[i]; without them, vh is None.
 
-    A column alone on its nonzero rows (see ``_coupled_block``) has its norm as
-    a singular value and a unit vector as its right singular vector; a
-    block-diagonal matrix has the union of its blocks' spectra.  So the lone
-    columns come first, in column order, and only the coupled columns, on the
-    rows they touch, go through ``np.linalg.svd``: they take its values, then
-    zeros up to their number.  The values always come from the values-only
-    routine, and ``vectors`` adds a full SVD of the block for vh alone, so
-    that a call with vectors ranks the very numbers that one without them
-    ranks.
+    M is factored block by block (``_split``): a matrix that is block diagonal
+    up to order has the union of its blocks' spectra.  A column alone on its
+    rows has its norm as its value and a unit vector as its right singular
+    vector.  Every other block, a coupling component or, when small, the
+    whole coupled part, gives its values in descending order, then zeros up
+    to its number of columns, at the places of its columns.  All of them go
+    through one ``np.linalg.svd`` of values only, the components stacked and
+    zero-padded to the largest one's shape, so one call serves a
+    factorization however its components fall.  ``vectors`` adds one stacked
+    full SVD per block shape, for vh alone, so that a call with vectors ranks
+    the very numbers that one without them ranks.
     """
-    cols, rows = _coupled_block(M)
-    lone, coupled = (~cols).nonzero()[0], cols.nonzero()[0]
-    s = [np.linalg.norm(M[:, lone], axis=0)]
-    if coupled.size:
-        B = M[np.ix_(rows, cols)]
-        sb = np.linalg.svd(B, compute_uv=False)
-        s += [sb, np.zeros(coupled.size - sb.size)]
-    s = np.concatenate(s)
+    m, n = M.shape
+    lone, rows, cols = _split(M != 0)
+    s = np.zeros(n + 1)  # s[n] takes the values of the padding
+    s[lone] = np.linalg.norm(M[:, lone], axis=0)
+    if rows.shape[0] == 1:  # one component: no padding
+        sv = np.linalg.svd(M[np.ix_(rows[0], cols[0])], compute_uv=False)
+        s[cols[0, : sv.size]] = sv
+    elif rows.size:
+        sv = np.linalg.svd(_stack(M, rows, cols), compute_uv=False)
+        p = np.minimum((rows < m).sum(axis=1), (cols < n).sum(axis=1))
+        s[np.where(np.arange(sv.shape[1]) < p[:, None], cols[:, : sv.shape[1]], n)] = sv
+    s = s[:n]
     if not vectors:
         return s, None
-    vh = np.zeros((M.shape[1], M.shape[1]), dtype=complex)
-    vh[np.arange(lone.size), lone] = 1.0
-    if coupled.size:
-        vh[lone.size :, coupled] = np.linalg.svd(B)[2]
+    vh = np.zeros((n, n), dtype=complex)
+    vh[lone, lone] = 1.0
+    heights, widths = (rows < m).sum(axis=1), (cols < n).sum(axis=1)
+    for h, w in set(zip(heights.tolist(), widths.tolist())):
+        at = np.flatnonzero((heights == h) & (widths == w))
+        c = cols[at, :w]
+        vh[c[:, :, None], c[:, None, :]] = np.linalg.svd(_stack(M, rows[at, :h], c))[2]
     return s, vh
 
 
@@ -367,8 +377,9 @@ class _Factored:
     either end has one, and is a null direction, one of ``free``, when neither
     has; its closed-form value, sqrt(d0^2 + dr^2) of the unit entries it has,
     is never ranked, and ``top`` is the largest of them.  ``block`` is the
-    matrix on the columns T, and ``s`` and ``vh`` are its ``_factor``; the
-    solve and the sections read ``block`` and ``vh``, None without vectors.
+    matrix on the columns T, and ``s`` and ``vh`` are its ``_factor``, one
+    value per column of T, taken block by block; the solve and the sections
+    read ``block`` and ``vh``, None without vectors.
     """
 
     ends: list
@@ -400,12 +411,18 @@ class _Factored:
             for v in (span.block.conj().T @ x[rows], x[unit])
         ])
 
-    def fit(self, traces: tuple, scales: tuple) -> np.ndarray:
+    def fit(self, traces: tuple, scales: tuple, cut: float) -> np.ndarray:
         """The least-squares c for which the traces x + d c have the smallest
-        ``coords``.  The block on T goes through ``lstsq``.  Off T, a coordinate
-        j has at most a unit row d_j c_j = -x_j per end, so c_j is
-        -(sum d_j x_j) / (sum d_j^2) over the ends that have one, and 0, the
-        least-norm value, where none has (or d_j^2 underflows)."""
+        ``coords``, with the rank that ``nullity`` reads at ``cut``.
+
+        Off T, a coordinate j has at most a unit row d_j c_j = -x_j per end, so
+        c_j is -(sum d_j x_j) / (sum d_j^2) over the ends that have one, and 0,
+        the least-norm value, where none has (or d_j^2 underflows).  On T, each
+        coupling component of the block is solved on its own, from one stacked
+        SVD, with its values at or below ``cut`` (as ``s`` gives them) dropped:
+        what ``np.linalg.lstsq`` gives with rcond = cut / the component's top
+        value.  A lone column of norm at most ``cut`` takes 0.
+        """
         D = traces[0].size
         num, den, rhs = np.zeros(D, dtype=complex), np.zeros(D), []
         for (span, unit, rows), x, d in zip(self.ends, traces, scales):
@@ -413,7 +430,19 @@ class _Factored:
             den[unit] += d[unit] * d[unit]
             rhs.append(span.touching(self.T, unit, rows).conj().T @ x[self.T])
         c = -np.divide(num, den, out=np.zeros(D, dtype=complex), where=den > 0)
-        c[self.T] = np.linalg.lstsq(self.block, -np.concatenate(rhs), rcond=None)[0]
+        B, b, s = self.block, -np.concatenate(rhs), self.s
+        lone, rows, cols = _split(B != 0)
+        x = np.zeros(B.shape[1], dtype=complex)
+        kept = lone[s[lone] > cut]
+        x[kept] = (B[:, kept].conj().T @ b) / s[kept] ** 2
+        if rows.size:
+            u, sv, vh = np.linalg.svd(_stack(B, rows, cols), full_matrices=False)
+            s_comp = np.append(s, 0.0)[cols[:, : sv.shape[1]]]  # padding reads 0
+            inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=s_comp > cut)
+            y = u.conj().transpose(0, 2, 1) @ np.append(b, 0.0)[rows][:, :, None]
+            xc = (vh.conj().transpose(0, 2, 1) @ (inv[:, :, None] * y))[:, :, 0]
+            x[cols[cols < B.shape[1]]] = xc[cols < B.shape[1]]
+        c[self.T] = x
         return c
 
 
@@ -535,12 +564,13 @@ def assemble(P: CylinderProblem, vectors: bool = False) -> Assembly:
     ends' scales swapped.  sigma_0 enters only the cokernel sections.
 
     Each matrix is ``_Factored``: only the block on the coordinates T that the
-    two ends' W or g touch is factored, and only its coupled columns take an
-    SVD (an APS problem takes none); every other coordinate takes its rank
-    from the sign rule, so the rest costs O(total_dim).  The shared cut starts
-    from the largest value of either whole matrix, ``top`` included.  Right
-    singular vectors are taken only with ``vectors``, for the kernel and
-    cokernel sections.
+    two ends' W or g touch is factored, and only its coupling components of
+    two or more columns take an SVD (an APS problem takes none; a chiral one,
+    whose g pairs each mode with its tau-partner, takes 2 x 2 blocks); every
+    other coordinate takes its rank from the sign rule, so the rest costs
+    O(total_dim).  The shared cut starts from the largest value of either
+    whole matrix, ``top`` included.  Right singular vectors are taken only
+    with ``vectors``, for the kernel and cokernel sections.
     """
     d0, dr = _homogeneous_scales(P.basis, P.rho)
     S = (P.left.span_matrix(), P.right.span_matrix())
@@ -564,7 +594,7 @@ def solve_bvp(P: CylinderProblem, psi: CylinderSection) -> SolveResult:
     phi_p = s0_apply(psi, P.sigma0)
     A = assemble(P, vectors=True)
     f, x = A.factors[0], tuple(phi_p.trace(t).to_dense(P.basis) for t in (0.0, P.rho))
-    c = f.fit(x, A.scales)
+    c = f.fit(x, A.scales, A.cut)
     gap = float(np.linalg.norm(f.coords([xi + d * c for xi, d in zip(x, A.scales)])))
     residuals = {"constraint_residual": gap}
     consistent = gap <= CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(f.coords(x))))

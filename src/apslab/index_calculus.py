@@ -13,7 +13,7 @@ carries a unit column of a span, or none, so its constraint column has rank 1
 when either end constrains it and is a null direction otherwise, whatever the
 value exp(-|lambda| rho) there.  Only the touched coordinates form one small
 dense block, factored by ``cylinder_solver._factor`` (lone columns take their
-norms, and only the coupled ones an SVD).  Only its values meet the cut that
+norms, and only the coupling components of the others an SVD).  Only its values meet the cut that
 the two matrices share, which sits in a gap of their spectra
 (``cylinder_solver._shared_cut``).  The tests keep two oracles: the dense
 full-basis assembly, and a banded one (sign table plus a small block on the

@@ -5,7 +5,8 @@ or g touch, and each constraint matrix as per-end touched blocks, with the
 unit columns and rows of the untouched coordinates implied.  This module keeps
 the builders that came before it: every span and constraint matrix as a dense
 array with ``total_dim`` rows or columns, and its singular values from a
-split of the whole matrix into lone columns and one coupled block.  The split
+split of the whole matrix into lone columns and blocks of coupled columns,
+whose coupling components are found here by scipy's graph components.  The split
 route must give the same singular values to round-off, and the same counts at
 the shared cut.  The whole constraint matrix M, solved by
 ``np.linalg.lstsq``, is the reference for ``solve_bvp``'s fit on the split,
@@ -19,8 +20,10 @@ it: the program's ``project`` and ``membership`` read the span instead.
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from apslab.boundary_conditions import MEMBERSHIP_TOL, RANK_TOL, _mode_positions
+from apslab.boundary_conditions import MEMBERSHIP_TOL, RANK_TOL, SPLIT_CELLS, _mode_positions
 from apslab.cylinder_solver import (
     RANK_THRESHOLD,
     CylinderProblem,
@@ -30,62 +33,87 @@ from apslab.cylinder_solver import (
 from apslab.index_calculus import FredholmPairReport
 
 
-def coupled_block(M):
-    """(cols, rows): the columns of M that share a nonzero row with another
-    column, and the rows those columns touch."""
+def components(M):
+    """The blocks of M's coupled columns, as (rows, cols) index arrays, formed
+    as ``_split`` forms them: the columns that share a nonzero row with another
+    column, with their rows, are one block when they span at most SPLIT_CELLS
+    cells, and otherwise one block per coupling component, in the order of
+    their first columns.  Components are found here by scipy's graph
+    components of the columns, independently of ``_components``."""
     nz = M != 0
-    cols = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
-    return cols, nz[:, cols].any(axis=1)
+    coupled = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
+    cols = np.flatnonzero(coupled)
+    rows = np.flatnonzero(nz[:, coupled].any(axis=1))
+    if not cols.size:
+        return []
+    if rows.size * cols.size <= SPLIT_CELLS:
+        return [(rows, cols)]
+    adj = nz.astype(float)
+    count, label = connected_components(csr_matrix(adj.T @ adj), directed=False)
+    out = []
+    for c in range(count):
+        at = np.flatnonzero(label == c)
+        if at.size > 1:
+            out.append((np.flatnonzero(nz[:, at].any(axis=1)), at))
+    return sorted(out, key=lambda rc: rc[1][0])
 
 
 def orthonormalize(parts, tol=RANK_TOL):
     """Orthonormal columns spanning ``parts``: lone columns normalized in input
-    order, then a pivoted QR of the coupled block, chopped at 1e-14."""
+    order, then a pivoted QR of each block of ``components`` in turn, chopped
+    at 1e-14."""
     height = parts[0].shape[0] if parts else 0
     parts = [p for p in parts if p.size]
     if not parts:
         return np.zeros((height, 0), dtype=complex)
     M = np.column_stack(parts)
-    cols, rows = coupled_block(M)
-    lone = M[:, ~cols]
+    comps = components(M)
+    coupled = np.zeros(M.shape[1], dtype=bool)
+    for _, cols in comps:
+        coupled[cols] = True
+    lone = M[:, ~coupled]
     norms = np.linalg.norm(lone, axis=0)
-    diag = np.zeros(0)
-    if cols.any():
+    blocks = []
+    for rows, cols in comps:
         qb, r, _ = sla.qr(M[np.ix_(rows, cols)], mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-    floor = tol * max(norms.max(initial=0.0), diag.max(initial=0.0), 1e-300)
+        blocks.append((rows, qb, np.abs(np.diag(r))))
+    top = max([norms.max(initial=0.0), 1e-300] + [d.max() for *_, d in blocks])
+    floor = tol * top
     keep = norms > floor
-    k, rank = int(keep.sum()), int(np.sum(diag > floor))
-    q = np.zeros((M.shape[0], k + rank), dtype=complex)
+    k = int(keep.sum())
+    ranks = [int(np.sum(d > floor)) for *_, d in blocks]
+    q = np.zeros((M.shape[0], k + sum(ranks)), dtype=complex)
     q[:, :k] = lone[:, keep] / norms[keep]
-    if rank:
-        q[rows, k:] = qb[:, :rank]
+    for (rows, qb, _), rank in zip(blocks, ranks):
+        q[rows, k : k + rank] = qb[:, :rank]
+        k += rank
     q[np.abs(q) < 1e-14] = 0
     return q
 
 
 def svd(M, vectors=False):
-    """(s, vh) of M: lone columns take their norms, the coupled block one SVD."""
+    """(s, vh) of M: lone columns take their norms, each block of ``components`` one SVD."""
     m, n = M.shape
-    cols, rows = coupled_block(M)
-    lone, block = np.flatnonzero(~cols), np.flatnonzero(cols)
+    comps = components(M)
+    coupled = np.zeros(n, dtype=bool)
+    for _, cols in comps:
+        coupled[cols] = True
+    lone = np.flatnonzero(~coupled)
     values = [np.linalg.norm(M[:, lone], axis=0)]
-    if block.size:
+    vh = np.zeros((n, n), dtype=complex)
+    vh[np.arange(lone.size), lone] = 1.0
+    at = lone.size
+    for rows, cols in comps:
         B = M[np.ix_(rows, cols)]
         sb = np.linalg.svd(B, compute_uv=False)
+        values += [sb, np.zeros(cols.size - sb.size)]
         if vectors:
-            vhb = np.linalg.svd(B)[2]
-        values += [sb, np.zeros(block.size - sb.size)]
+            vh[at : at + cols.size, cols] = np.linalg.svd(B)[2]
+        at += cols.size
     values = np.concatenate(values)
     order = np.argsort(-values, kind="stable")
     s = values[order][: min(m, n)]
-    if not vectors:
-        return s, None
-    vh = np.zeros((n, n), dtype=complex)
-    vh[np.arange(lone.size), lone] = 1.0
-    if block.size:
-        vh[lone.size :, block] = vhb
-    return s, vh[order]
+    return (s, vh[order]) if vectors else (s, None)
 
 
 def mode_map_dense(g):

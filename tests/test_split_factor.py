@@ -2,19 +2,20 @@
 
 ``cylinder_solver._factor`` gives a column alone on its nonzero rows its norm as
 a singular value and sends only the coupled columns, on the rows they touch,
-through ``np.linalg.svd``; it returns one value per column, with vh row i
-belonging to value i, and here they are sorted as a dense SVD sorts them.
-``boundary_conditions._orthonormalize`` normalizes such columns in place and
-runs its pivoted QR on the coupled block.  Here both are checked against one
-dense factorization of the whole matrix: on seeded matrices built from lone
-columns (down to 1e-30), zero columns and a coupled block, permuted, with
-fewer or more rows than columns; and on the constraint matrices of APS, graph,
-chiral and transmission problems, built dense by ``tests/dense_oracle.py``,
-whose cokernel matrix is also checked against the constraint matrix of the
-adjoint problem.  ``assemble`` factors only the block on the touched
-coordinates T; the whole matrix's values off T are rebuilt here from the
-scales and the spans' unit coordinates, and the columns there that carry a
-unit row count in the rank whatever their value, as the sign rule says.
+through ``np.linalg.svd``, block by block (``boundary_conditions._split``); it
+returns one value per column, with vh row i belonging to value i, and here
+they are sorted as a dense SVD sorts them.  ``_orthonormalize`` normalizes
+such columns in place and runs one pivoted QR per block.  Here both are
+checked against one dense factorization of the whole matrix: on seeded
+matrices built from lone columns (down to 1e-30), zero columns and a coupled
+block, permuted, with fewer or more rows than columns; and on the constraint
+matrices of APS, graph, chiral and transmission problems, built dense by
+``tests/dense_oracle.py``, whose cokernel matrix is also checked against the
+constraint matrix of the adjoint problem.  ``assemble`` factors only the
+block on the touched coordinates T; the whole matrix's values off T are
+rebuilt here from the scales and the spans' unit coordinates, and the
+columns there that carry a unit row count in the rank whatever their value,
+as the sign rule says.
 """
 
 import numpy as np
@@ -174,8 +175,8 @@ def test_only_the_coupled_block_reaches_lapack(monkeypatch):
     factor_dense(M)
     factor_dense(M, vectors=True)
     # the values always come from the values-only routine; vectors add one
-    # full SVD of the block for vh
-    assert shapes == [((3, 4), False), ((3, 4), False), ((3, 4), True)]
+    # full SVD of the block, stacked by shape, for vh
+    assert shapes == [((3, 4), False), ((3, 4), False), ((1, 3, 4), True)]
     shapes.clear()
     factor_dense(split_matrix(rng, n_lone=20, n_zero=5, block_shape=(0, 0)), vectors=True)
     assert shapes == []
@@ -189,7 +190,21 @@ def test_only_the_coupled_block_reaches_lapack(monkeypatch):
     width = sum(P.basis.fiber_dim(mid) for mid in touched)
     for vectors in (False, True):
         assemble(P, vectors)
-    assert shapes and all(cols <= width < P.basis.total_dim for (_, cols), _ in shapes)
+    assert shapes and all(shape[-1] <= width < P.basis.total_dim for shape, _ in shapes)
+    # a chiral problem couples each mode with its tau-partner only: every
+    # component has at most 2 columns, and each constraint matrix takes one
+    # values-only call for all of its components
+    basis, sigma = chiral_block_basis(16, lambda j: 1j * j, band_limit=2.0)
+    neg = sigma.negated_boundary()
+    P = CylinderProblem(
+        basis, sigma, 1.0, make_chiral(basis, sigma), make_chiral(neg.basis, neg, sign=-1)
+    )
+    for vectors in (False, True):
+        shapes.clear()
+        assemble(P, vectors)
+        values = [shape for shape, uv in shapes if not uv]
+        assert len(values) == 2 and all(shape[0] > 16 for shape in values)
+        assert all(shape[-1] <= 2 for shape, _ in shapes)
 
 
 # -- _orthonormalize -----------------------------------------------------------
