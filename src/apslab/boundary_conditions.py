@@ -180,9 +180,9 @@ def _split(nz: np.ndarray) -> tuple:
     per component, in the order of their first columns.
     """
     m, n = nz.shape
-    coupled = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
-    lone, cols = np.flatnonzero(~coupled), np.flatnonzero(coupled)
-    rows = np.flatnonzero(nz[:, coupled].any(axis=1))
+    coupled = (nz.sum(axis=1) > 1) @ nz  # boolean products: any over the shared rows
+    lone, cols = (~coupled).nonzero()[0], coupled.nonzero()[0]
+    rows = (nz @ coupled).nonzero()[0]
     if rows.size * cols.size <= SPLIT_CELLS:
         k = min(cols.size, 1)
         return lone, rows[None, :][:k], cols[None, :][:k]
@@ -231,8 +231,9 @@ def _orthonormalize(M: np.ndarray, units: bool = False, tol: float = RANK_TOL) -
     norms = np.linalg.norm(M[:, lone], axis=0)
     blocks = []
     for r, c in zip(rows, cols):
-        r, c = r[r < m], c[c < n]
-        qb, rb, _ = sla.qr(M[np.ix_(r, c)], mode="economic", pivoting=True)
+        if rows.shape[0] > 1:  # a lone block has no padding
+            r, c = r[r < m], c[c < n]
+        qb, rb, _ = sla.qr(M[r[:, None], c], mode="economic", pivoting=True)
         blocks.append((r, qb, np.abs(np.diag(rb))))
     top = max([norms.max(initial=0.0), float(units), 1e-300] + [d.max() for *_, d in blocks])
     floor = tol * top

@@ -346,8 +346,8 @@ def _factor(M: np.ndarray, vectors: bool = False) -> tuple:
     lone, rows, cols = _split(M != 0)
     s = np.zeros(n + 1)  # s[n] takes the values of the padding
     s[lone] = np.linalg.norm(M[:, lone], axis=0)
-    if rows.shape[0] == 1:  # one component: no padding
-        sv = np.linalg.svd(M[np.ix_(rows[0], cols[0])], compute_uv=False)
+    if rows.shape[0] == 1:  # one block: no padding
+        sv = np.linalg.svd(M[rows[0][:, None], cols[0]], compute_uv=False)
         s[cols[0, : sv.size]] = sv
     elif rows.size:
         sv = np.linalg.svd(_stack(M, rows, cols), compute_uv=False)
